@@ -10,9 +10,7 @@
                serve_scaling compile perf
      default: all of them.  fig3_d1/fig6_d1 rerun the headline sweeps
      pinned to a single domain so their calls/s stays comparable with
-     BENCH_2.json whatever ARNET_DOMAINS says; serve/storm pin the
-     daemon to one domain for the same reason (serve_scaling owns the
-     domain axis).
+     BENCH_2.json whatever ARNET_DOMAINS says.
    Environment: ARNET_QUICK=1 for a fast pass (3 seeds, short window),
    ARNET_SEEDS=n to override the seed count, ARNET_DOMAINS=n to shard
    replication runs across n OCaml domains (bit-identical results),
@@ -443,7 +441,7 @@ let serve () =
          (Printf.sprintf "arnet-bench-%d.sock" (Unix.getpid ())))
   in
   let state = Service.State.create ~matrix g in
-  let server = Thread.create (fun () -> Service.Server.serve ~domains:1 ~state addr) () in
+  let server = Thread.create (fun () -> Service.Server.serve ~state addr) () in
   let result =
     Fun.protect
       ~finally:(fun () ->
@@ -507,7 +505,7 @@ let storm () =
          (Printf.sprintf "arnet-storm-%d.sock" (Unix.getpid ())))
   in
   let state = Service.State.create ~matrix ~failure_script:script g in
-  let server = Thread.create (fun () -> Service.Server.serve ~domains:1 ~state addr) () in
+  let server = Thread.create (fun () -> Service.Server.serve ~state addr) () in
   let result =
     Fun.protect
       ~finally:(fun () ->
@@ -538,27 +536,17 @@ let storm () =
          /. float_of_int result.Service.Loadgen.calls)
          result.Service.Loadgen.calls stats.Service.Wire.failovers)
 
-(* the service plane again, across the two axes this daemon can scale:
-   batched binary framing (syscalls amortized per frame) and domain
-   sharding (reads/parses/writes in parallel, decisions still one
-   total order).  The batch-32 2x-over-line floor is asserted on every
-   run; domain speedup only when the machine has more than one core *)
+(* the service plane again, across batch depth: binary framing
+   amortizes syscalls and parsing per frame over the same decision
+   core.  The batch-32 2x-over-line floor is asserted on every run *)
 
-type scaling_row = {
-  sc_domains : int;
-  sc_line_rps : float;
-  sc_binary_rps : float;  (* binary framing, batch = 32 *)
-}
-
-let scaling_rows : scaling_row list ref = ref []
 let scaling_batches : (int * float) list ref = ref []
 let scaling_speedup : float option ref = ref None
 
 let serve_scaling () =
   Report.section ppf ~id:"serve_scaling"
     ~title:
-      "arnet_service scaling: binary batching and domain sharding \
-       (req/s over a Unix socket)";
+      "arnet_service scaling: binary batching (req/s over a Unix socket)";
   let module Service = Arnet_service in
   let calls =
     match Option.bind (Sys.getenv_opt "ARNET_SERVE_CALLS") int_of_string_opt with
@@ -572,7 +560,7 @@ let serve_scaling () =
       ~demand:15.
   in
   let counter = ref 0 in
-  let measure ~domains ~connections ~binary ~batch =
+  let measure ~binary ~batch =
     incr counter;
     let addr =
       Service.Server.Unix_sock
@@ -580,9 +568,7 @@ let serve_scaling () =
            (Printf.sprintf "arnet-scale-%d-%d.sock" (Unix.getpid ()) !counter))
     in
     let state = Service.State.create ~matrix g in
-    let server =
-      Thread.create (fun () -> Service.Server.serve ~domains ~state addr) ()
-    in
+    let server = Thread.create (fun () -> Service.Server.serve ~state addr) () in
     let result =
       Fun.protect
         ~finally:(fun () ->
@@ -594,31 +580,29 @@ let serve_scaling () =
            with _ -> ());
           Thread.join server)
         (fun () ->
-          Service.Loadgen.run ~connections ~retry_for:5. ~binary ~batch
-            ~seed:42 ~calls ~matrix ~addr ())
+          Service.Loadgen.run ~retry_for:5. ~binary ~batch ~seed:42 ~calls
+            ~matrix ~addr ())
     in
     Service.Loadgen.requests_per_second result
   in
-  (* axis 1: batch depth, one connection, one domain — pure framing and
-     pipelining gain over the same decision core *)
-  let line_d1 = measure ~domains:1 ~connections:1 ~binary:false ~batch:1 in
-  Format.fprintf ppf "  line protocol, 1 conn, 1 domain: %10.0f req/s@."
-    line_d1;
+  (* one connection: pure framing and pipelining gain *)
+  let line_rps = measure ~binary:false ~batch:1 in
+  Format.fprintf ppf "  line protocol, 1 conn: %10.0f req/s@." line_rps;
   Format.fprintf ppf "  %8s %12s %9s@." "batch" "req/s" "vs line";
   scaling_batches :=
     List.map
       (fun batch ->
-        let rps = measure ~domains:1 ~connections:1 ~binary:true ~batch in
+        let rps = measure ~binary:true ~batch in
         Format.fprintf ppf "  %8d %12.0f %8.1fx@." batch rps
-          (rps /. Float.max 1e-9 line_d1);
+          (rps /. Float.max 1e-9 line_rps);
         (batch, rps))
       [ 1; 8; 32; 128 ];
-  let binary_d1 =
+  let binary_rps =
     match List.assoc_opt 32 !scaling_batches with
     | Some rps -> rps
     | None -> assert false
   in
-  let speedup = binary_d1 /. Float.max 1e-9 line_d1 in
+  let speedup = binary_rps /. Float.max 1e-9 line_rps in
   scaling_speedup := Some speedup;
   (* the headline guarantee: a batch of 32 amortizes enough syscall and
      parse work to at least double single-connection throughput *)
@@ -628,42 +612,6 @@ let serve_scaling () =
          "serve_scaling bench: binary batch=32 is %.2fx the line protocol \
           (floor is 2x)"
          speedup);
-  (* axis 2: domain count under concurrent connections, line vs
-     binary-batch on every point *)
-  Format.fprintf ppf "  %8s %12s %14s   (8 connections)@." "domains"
-    "line req/s" "binary@32";
-  scaling_rows :=
-    List.map
-      (fun domains ->
-        let sc_line_rps =
-          measure ~domains ~connections:8 ~binary:false ~batch:1
-        in
-        let sc_binary_rps =
-          measure ~domains ~connections:8 ~binary:true ~batch:32
-        in
-        Format.fprintf ppf "  %8d %12.0f %14.0f@." domains sc_line_rps
-          sc_binary_rps;
-        { sc_domains = domains; sc_line_rps; sc_binary_rps })
-      [ 1; 2; 4; 8 ];
-  (* sharding buys nothing on one core (the decision lock already
-     serializes); assert it carries its weight only where it can *)
-  (if Arnet_pool.available () > 1 then
-     let d1 =
-       List.find (fun r -> r.sc_domains = 1) !scaling_rows
-     in
-     let best =
-       List.fold_left
-         (fun acc r -> Float.max acc r.sc_line_rps)
-         0.
-         (List.filter (fun r -> r.sc_domains > 1) !scaling_rows)
-     in
-     if best < 0.9 *. d1.sc_line_rps then
-       failwith
-         (Printf.sprintf
-            "serve_scaling bench: best sharded line throughput %.0f req/s \
-             regressed below single-domain %.0f req/s on a %d-core machine"
-            best d1.sc_line_rps
-            (Arnet_pool.available ())));
   Report.paper_vs_measured ppf ~what:"service-plane scaling"
     ~paper:
       "(extension) signalling cost, not the routing rule, bounds \
@@ -671,9 +619,8 @@ let serve_scaling () =
     ~measured:
       (Printf.sprintf
          "batch=32 binary framing is %.1fx the line protocol on one \
-          connection (%d cores available)"
-         speedup
-         (Arnet_pool.available ()))
+          connection"
+         speedup)
 
 (* ------------------------------------------------------------------ *)
 (* route compilation at ISP scale: the sequential per-pair pipeline vs
@@ -915,13 +862,12 @@ let () =
       @ (match !serve_result with
         | None -> []
         | Some r -> [ ("service", Arnet_service.Loadgen.to_json r) ])
-      @ (match (!scaling_rows, !scaling_speedup) with
-        | [], _ | _, None -> []
-        | rows, Some speedup ->
+      @ (match !scaling_speedup with
+        | None -> []
+        | Some speedup ->
           [ ("serve_scaling",
              J.Obj
-               [ ("domains_available", J.Int (Arnet_pool.available ()));
-                 ("binary_speedup", J.Float speedup);
+               [ ("binary_speedup", J.Float speedup);
                  ("batch_sweep",
                   J.List
                     (List.map
@@ -929,17 +875,7 @@ let () =
                          J.Obj
                            [ ("batch", J.Int batch);
                              ("requests_per_s", J.Float rps) ])
-                       !scaling_batches));
-                 ("curve",
-                  J.List
-                    (List.map
-                       (fun r ->
-                         J.Obj
-                           [ ("domains", J.Int r.sc_domains);
-                             ("line_requests_per_s", J.Float r.sc_line_rps);
-                             ("binary_requests_per_s",
-                              J.Float r.sc_binary_rps) ])
-                       rows)) ]) ])
+                       !scaling_batches)) ]) ])
       @ (match !compile_rows with
         | [] -> []
         | rows ->

@@ -118,7 +118,7 @@ let config_of_quick quick =
   in
   (* ARNET_DOMAINS parallelizes replications everywhere a config flows;
      results are bit-identical to the sequential run *)
-  { base with Arnet_experiments.Config.domains = Pool.of_env () }
+  { base with Arnet_experiments.Config.domains = Arnet_pool.of_env () }
 
 (* ------------------------------------------------------------------ *)
 (* arn erlang *)
@@ -500,7 +500,7 @@ let simulate_cmd =
     let positive =
       (* shared validation with ARNET_DOMAINS parsing: one line naming
          the valid range, e.g. on --domains 0 or a negative count *)
-      Arg.conv' (Pool.domains_of_string, Format.pp_print_int)
+      Arg.conv' (Arnet_pool.domains_of_string, Format.pp_print_int)
     in
     Arg.(
       value & opt (some positive) None & info [ "domains"; "j" ] ~docv:"N" ~doc)
@@ -1395,23 +1395,9 @@ let serve_cmd =
     let doc = "Log JSONL (one JSON object per line) instead of text." in
     Arg.(value & flag & info [ "log-json" ] ~doc)
   in
-  let domains_opt =
-    let doc =
-      "Shard the service plane across $(docv) domains: one dispatcher \
-       dealing connections to $(docv) worker loops that read, parse, \
-       frame and write in parallel, with admission decisions still a \
-       single total order under one lock.  1 (the default, or \
-       $(b,ARNET_DOMAINS)) is the unsharded single-threaded daemon."
-    in
-    let positive =
-      Arg.conv' (Pool.domains_of_string, Format.pp_print_int)
-    in
-    Arg.(
-      value & opt (some positive) None & info [ "domains"; "j" ] ~docv:"N" ~doc)
-  in
   let run network capacity listen h scale demand unprotected seed
       reload_every snapshot trace_file failure_script metrics_file window
-      smoothing telemetry slow_ms log_level log_json domains_opt =
+      smoothing telemetry slow_ms log_level log_json =
     let logger =
       Obs.Logger.create ~level:log_level
         ~format:(if log_json then Obs.Logger.Jsonl else Obs.Logger.Text)
@@ -1455,7 +1441,11 @@ let serve_cmd =
         Printf.eprintf "arn serve: %s\n" msg;
         exit 2
     in
+    (* bind errors surface before [on_listen]; anything later failed a
+       running daemon *)
+    let listening = ref false in
     let on_listen addr =
+      listening := true;
       Obs.Logger.info logger "arn serve: listening"
         ~fields:
           [ ("network", Obs.Jsonu.String (network_to_string network));
@@ -1466,10 +1456,11 @@ let serve_cmd =
             ("addr", Obs.Jsonu.String (Service.Server.addr_to_string addr)) ]
     in
     (try
-       Service.Server.serve ?domains:domains_opt ~metrics ?telemetry ~logger
-         ?snapshot ~on_listen ~state listen
+       Service.Server.serve ~metrics ?telemetry ~logger ?snapshot ~on_listen
+         ~state listen
      with Unix.Unix_error (err, fn, arg) ->
-       Printf.eprintf "arn serve: cannot listen: %s (%s %s)\n"
+       Printf.eprintf "arn serve: %s: %s (%s %s)\n"
+         (if !listening then "serve failed" else "cannot listen")
          (Unix.error_message err) fn arg;
        exit 2);
     Option.iter Obs.Sink.close trace_sink;
@@ -1507,7 +1498,7 @@ let serve_cmd =
       const run $ network_arg $ capacity_arg $ listen $ h $ scale $ demand
       $ unprotected $ seed $ reload_every $ snapshot $ trace_file
       $ failure_script $ metrics_file $ window $ smoothing $ telemetry
-      $ slow_ms $ log_level $ log_json $ domains_opt)
+      $ slow_ms $ log_level $ log_json)
 
 let load_cmd =
   let connect =

@@ -19,15 +19,18 @@ let mem t name = node t name <> None
 
    Roots are the compilation units that spawn concurrency themselves
    ([Domain.spawn] / [Thread.create]) plus every unit that calls one of
-   a spawner's spawning entry points (today: [Pool.map] from Engine and
-   Mr_engine) — the closures those callers build run on worker domains,
-   so everything the caller can reference is domain-visible.  The
-   reachable set is the downward dependency closure of the roots.
+   a spawner's spawning entry points (today: [Arnet_pool.map] from
+   Engine, Controller and Route_table) — the closures those callers
+   build run on worker domains, so everything the caller can reference
+   is domain-visible.  The reachable set is the downward dependency
+   closure of the roots.
 
    This over-approximates (a caller's dependency used only on the main
    domain is still marked) and under-approximates in one known way:
    a closure built by module A, passed through module B, and only then
-   handed to Pool.map is attributed to B, not A.  Both directions are
+   handed to Arnet_pool.map is attributed to B, not A — the run
+   closures Failure_engine and Mr_engine hand to
+   Engine.replicate_grid are such a case.  Both directions are
    documented in DESIGN.md; the allowlist absorbs the former, code
    review the latter. *)
 

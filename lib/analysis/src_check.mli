@@ -17,8 +17,9 @@
     values with mutable fields — plus ambient-state mutations such as
     [Random.self_init] or [Printexc.register_printer].  Expressions
     under [fun]/[function] are evaluated per call and are therefore
-    worker-local by construction (the {!Arnet_sim.Pool} seed-major
-    regeneration idiom); the walk does not descend into them.
+    worker-local by construction (the seed-major regeneration idiom of
+    [Arnet_sim.Engine.replicate_grid]); the walk does not descend into
+    them.
 
     Guards recognized: [Atomic.make] ([SRC101] info), a record carrying
     its own [Mutex.t] field or a site used exclusively inside

@@ -63,7 +63,7 @@ let compile ?(domains = 1) ~name ~routes ~admission ~allow_alternates () =
      own pair's table entry, so the assembled array is bit-identical to
      the sequential Array.init for every domain count *)
   let rows =
-    Pool.map ~domains
+    Arnet_pool.map ~domains
       (fun src -> Array.init n (fun dst -> plan_for src dst))
       (List.init n Fun.id)
   in

@@ -16,7 +16,7 @@ let quick =
 let of_env () =
   let truthy = function None | Some "" | Some "0" -> false | Some _ -> true in
   let base = if truthy (Sys.getenv_opt "ARNET_QUICK") then quick else paper in
-  let base = { base with domains = Arnet_sim.Pool.of_env () } in
+  let base = { base with domains = Arnet_pool.of_env () } in
   match Sys.getenv_opt "ARNET_SEEDS" with
   | None -> base
   | Some s ->

@@ -148,71 +148,22 @@ let run ?(warmup = 10.) ?(script = Script.empty) ~graph ~policy trace =
   done;
   { core = stats; dropped = !dropped; failovers = !failovers }
 
-let replicate_fresh ?warmup ?mean_holding ?(domains = 1) ~seeds ~duration
-    ~graph ~matrix ~script ~policies () =
-  if seeds = [] then invalid_arg "Failure_engine.replicate: no seeds";
-  if domains < 1 then
-    invalid_arg "Failure_engine.replicate: domains must be >= 1";
+let replicate_fresh ?warmup ?mean_holding ?domains ~seeds ~duration ~graph
+    ~matrix ~script ~policies () =
   let names = List.map (fun p -> p.name) (policies ()) in
   (* same substream as Engine.replicate so the workloads line up with
      the plain engine's runs for the same seeds *)
-  let trace_for seed =
+  let context seed =
     let rng = Rng.substream (Rng.create ~seed) "trace" in
-    Trace.generate ?mean_holding ~rng ~duration matrix
-  in
-  let fresh_policies () =
+    let trace = Trace.generate ?mean_holding ~rng ~duration matrix in
+    let sc = script ~seed in
     let fresh = policies () in
     if List.map (fun p -> p.name) fresh <> names then
       invalid_arg "Failure_engine.replicate_fresh: factory changed policy names";
-    fresh
+    (trace, sc, Array.of_list fresh)
   in
-  if domains = 1 then begin
-    let results = List.map (fun name -> (name, ref [])) names in
-    let one_seed seed =
-      let trace = trace_for seed in
-      let sc = script ~seed in
-      List.iter2
-        (fun policy (_, acc) ->
-          acc := run ?warmup ~script:sc ~graph ~policy trace :: !acc)
-        (fresh_policies ()) results
-    in
-    List.iter one_seed seeds;
-    List.map (fun (name, acc) -> (name, List.rev !acc)) results
-  end
-  else begin
-    (* (seed x policy) sharding, bit-identical to sequential: every job
-       rebuilds its trace, script and policy from the seed inside the
-       worker, so nothing mutable crosses domains *)
-    let seed_arr = Array.of_list seeds in
-    let name_arr = Array.of_list names in
-    let np = Array.length name_arr in
-    let jobs =
-      List.concat_map
-        (fun si -> List.init np (fun pi -> (si, pi)))
-        (List.init (Array.length seed_arr) Fun.id)
-    in
-    let one (si, pi) =
-      let seed = seed_arr.(si) in
-      let trace = trace_for seed in
-      let sc = script ~seed in
-      run ?warmup ~script:sc ~graph
-        ~policy:(List.nth (fresh_policies ()) pi)
-        trace
-    in
-    let stats =
-      try Pool.map ~domains one jobs
-      with Pool.Worker { index; exn } ->
-        raise
-          (Engine.Replication_failure
-             { seed = seed_arr.(index / np);
-               policy = name_arr.(index mod np);
-               exn })
-    in
-    let flat = Array.of_list stats in
-    List.mapi
-      (fun pi name ->
-        ( name,
-          List.init (Array.length seed_arr) (fun si ->
-              flat.((si * np) + pi)) ))
-      names
-  end
+  Engine.replicate_grid ~caller:"Failure_engine.replicate" ?domains ~seeds
+    ~names ~context
+    ~run:(fun (trace, sc, fresh) pi ->
+      run ?warmup ~script:sc ~graph ~policy:fresh.(pi) trace)
+    ()

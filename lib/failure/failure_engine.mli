@@ -81,7 +81,7 @@ val replicate_fresh :
     {!Arnet_sim.Engine.replicate}, so workloads match the plain
     engine's), build the seed's script, and replay it through every
     policy — identical arrivals *and* identical failures across the
-    policies being compared.  [domains] shards (seed × policy) runs via
-    {!Arnet_sim.Pool.map} exactly like the plain engine, bit-identical
-    to sequential; failures re-raise as
+    policies being compared.  [domains] shards (seed × policy) runs
+    through {!Arnet_sim.Engine.replicate_grid} exactly like the plain
+    engine, bit-identical to sequential; failures re-raise as
     {!Arnet_sim.Engine.Replication_failure}. *)

@@ -138,56 +138,14 @@ let bandwidth_blocking s =
     float_of_int s.total_blocked_bandwidth
     /. float_of_int s.total_offered_bandwidth
 
-let replicate ?warmup ?(domains = 1) ~seeds ~duration ~graph ~workload
-    ~policies () =
-  if seeds = [] then invalid_arg "Mr_engine.replicate: no seeds";
-  if domains < 1 then
-    invalid_arg "Mr_engine.replicate: domains must be >= 1";
-  let trace_for seed =
-    let rng = Rng.substream (Rng.create ~seed) "mr-trace" in
-    Mr_trace.generate ~rng ~duration workload
-  in
-  if domains = 1 then begin
-    let results = List.map (fun p -> (p.name, ref [])) policies in
-    let one_seed seed =
-      let trace = trace_for seed in
-      List.iter2
-        (fun policy (_, acc) ->
-          acc := run ?warmup ~graph ~workload ~policy ~duration trace :: !acc)
-        policies results
-    in
-    List.iter one_seed seeds;
-    List.map (fun (name, acc) -> (name, List.rev !acc)) results
-  end
-  else begin
-    (* same sharding as Engine.replicate: independent (seed x policy)
-       runs, each regenerating its workload inside the worker *)
-    let seed_arr = Array.of_list seeds in
-    let policy_arr = Array.of_list policies in
-    let np = Array.length policy_arr in
-    let jobs =
-      List.concat_map
-        (fun si -> List.init np (fun pi -> (si, pi)))
-        (List.init (Array.length seed_arr) Fun.id)
-    in
-    let one (si, pi) =
-      let trace = trace_for seed_arr.(si) in
-      run ?warmup ~graph ~workload ~policy:policy_arr.(pi) ~duration trace
-    in
-    let stats =
-      try Pool.map ~domains one jobs
-      with Pool.Worker { index; exn } ->
-        raise
-          (Engine.Replication_failure
-             { seed = seed_arr.(index / np);
-               policy = policy_arr.(index mod np).name;
-               exn })
-    in
-    let flat = Array.of_list stats in
-    List.mapi
-      (fun pi p ->
-        ( p.name,
-          List.init (Array.length seed_arr) (fun si ->
-              flat.((si * np) + pi)) ))
-      policies
-  end
+let replicate ?warmup ?domains ~seeds ~duration ~graph ~workload ~policies ()
+    =
+  let policy_arr = Array.of_list policies in
+  Engine.replicate_grid ~caller:"Mr_engine.replicate" ?domains ~seeds
+    ~names:(List.map (fun p -> p.name) policies)
+    ~context:(fun seed ->
+      let rng = Rng.substream (Rng.create ~seed) "mr-trace" in
+      Mr_trace.generate ~rng ~duration workload)
+    ~run:(fun trace pi ->
+      run ?warmup ~graph ~workload ~policy:policy_arr.(pi) ~duration trace)
+    ()

@@ -62,8 +62,7 @@ val alternate_fraction : run -> float
 
 val hop_histogram : run -> int array
 (** Index [h] counts measured calls carried on [h]-hop paths; index 0
-    counts measured blocked calls (the [Instrument.hop_histogram]
-    convention).  Trailing zeros trimmed. *)
+    counts measured blocked calls.  Trailing zeros trimmed. *)
 
 val rejections_by_link : run -> (int * int) list
 (** [(link id, trunk-reservation rejections)] sorted by link id. *)

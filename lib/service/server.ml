@@ -96,6 +96,17 @@ type conn = {
    make the daemon buffer *)
 let max_line_bytes = 8192
 
+(* select(2) cannot watch a descriptor at or above FD_SETSIZE (1024 on
+   Linux; Unix.select raises EINVAL).  Half of it leaves ample room for
+   the listeners, the standard streams and a trace file, so every live
+   connection stays selectable *)
+let max_connections = 512
+
+(* how long the listeners rest after accept runs out of descriptors:
+   the refused connection stays queued, so retrying at once would spin
+   on a listener that is always readable *)
+let accept_backoff = 0.1
+
 let write_all fd s =
   let b = Bytes.of_string s in
   let n = Bytes.length b in
@@ -163,14 +174,16 @@ let head_complete data =
   in
   scan 0
 
+(* best-effort reply on a connection about to be dropped *)
+let send_last fd s = try write_all fd s with Unix.Unix_error _ -> ()
+
 (* ------------------------------------------------------------------ *)
-(* protocol machinery, shared by the single-domain loop and the
-   sharded per-worker loops.  Each maker closes over one loop's
-   connection table and serialization discipline. *)
+(* protocol machinery.  Each maker closes over the loop's connection
+   table through [close_conn]. *)
 
 (* commands that reconfigure shared decision inputs; each bumps the
-   control-plane epoch so a reload/patch is a fenced, observable event
-   rather than a silent mid-stream mutation *)
+   control-plane epoch so a reload/patch is an observable event rather
+   than a silent mid-stream mutation *)
 let is_control = function
   | Wire.Fail _ | Wire.Repair _ | Wire.Reload | Wire.Link_add _
   | Wire.Link_del _ | Wire.Drain ->
@@ -180,23 +193,15 @@ let is_control = function
 
 type source = Line of string | Parsed of Wire.command
 
-(* serialization discipline as a first-class (polymorphic) section:
-   the identity for the single-domain loop, the decision mutex for the
-   sharded ones *)
-type sync = { sync : 'a. (unit -> 'a) -> 'a }
-
-(* The decision core for one loop: [handle_line]/[handle_batch] parse
-   (lines), decide through {!Session}, account metrics and the tap, and
-   write the reply.  [sync] owns serialization — the identity
-   single-domain, the decision mutex sharded; [after] runs inside
-   [sync] after each line or batch (the sharded loop's drained
-   check). *)
-let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~domain ~sync
-    ~after ~close_conn =
+(* The decision core: [handle_line]/[handle_batch] parse (lines),
+   decide through {!Session}, account metrics and the tap, and write
+   the reply.  A peer that vanished mid-reply costs its connection,
+   never the daemon. *)
+let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn =
   let module Log = Arnet_obs.Logger in
   let decide_core cmd =
     let response = Session.handle state cmd in
-    if is_control cmd then Atomic.incr epoch;
+    if is_control cmd then incr epoch;
     response
   in
   (* timed only when someone records the result: the metrics-free
@@ -224,7 +229,6 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~domain ~sync
           Service_metrics.record_malformed m;
           "malformed"
       in
-      Service_metrics.record_domain m domain;
       let verdict = Service_metrics.verdict response in
       let seconds = clock () -. t0 in
       if Service_metrics.record_latency m ~verb ~verdict seconds then
@@ -256,69 +260,48 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~domain ~sync
               Printf.sprintf "unknown framing mode %S (line | binary)" mode })
     | cmd -> decide_core cmd
   in
+  let reply c s = try write_all c.fd s with Unix.Unix_error _ -> close_conn c in
   let handle_line c line =
-    let cmd, response =
-      sync.sync (fun () ->
-          let r = apply ~decide:(decide_line c) (Line line) in
-          after ();
-          r)
-    in
-    (try write_all c.fd (Wire.print_response response ^ "\n")
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-       close_conn c);
+    let cmd, response = apply ~decide:(decide_line c) (Line line) in
+    reply c (Wire.print_response response ^ "\n");
     match cmd with Some Wire.Quit -> close_conn c | _ -> ()
   in
-  (* one lock round and one reply write for the whole frame — the
-     syscall amortization the binary framing exists for *)
+  (* one reply write for the whole frame — the syscall amortization the
+     binary framing exists for *)
   let handle_batch c cmds =
+    (match metrics with
+    | Some m -> Service_metrics.record_batch m (List.length cmds)
+    | None -> ());
     let responses =
-      sync.sync (fun () ->
-          (match metrics with
-          | Some m -> Service_metrics.record_batch m (List.length cmds)
-          | None -> ());
-          let rs =
-            List.map
-              (fun cmd -> snd (apply ~decide:decide_core (Parsed cmd)))
-              cmds
-          in
-          after ();
-          rs)
+      List.map (fun cmd -> snd (apply ~decide:decide_core (Parsed cmd))) cmds
     in
-    (try write_all c.fd (Bwire.encode_replies responses)
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-       close_conn c);
+    reply c (Bwire.encode_replies responses);
     if List.exists (function Wire.Quit -> true | _ -> false) cmds then
       close_conn c
   in
+  let count_malformed () =
+    match metrics with
+    | Some m -> Service_metrics.record_malformed m
+    | None -> ()
+  in
   let reject_too_long c =
-    (match metrics with
-    | Some m -> sync.sync (fun () -> Service_metrics.record_malformed m)
-    | None -> ());
-    (try
-       write_all c.fd
-         (Wire.print_response
-            (Wire.Err
-               {
-                 code = "toolong";
-                 detail =
-                   Printf.sprintf "line exceeds %d bytes" max_line_bytes;
-               })
-         ^ "\n")
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+    count_malformed ();
+    send_last c.fd
+      (Wire.print_response
+         (Wire.Err
+            { code = "toolong";
+              detail = Printf.sprintf "line exceeds %d bytes" max_line_bytes })
+      ^ "\n");
     close_conn c
   in
   (* a structurally bad frame is connection-fatal: answer one ERR
      reply frame (the client may be mid-read on a batch) and drop *)
   let binary_fatal c err =
-    (match metrics with
-    | Some m -> sync.sync (fun () -> Service_metrics.record_malformed m)
-    | None -> ());
-    (try
-       write_all c.fd
-         (Bwire.encode_replies
-            [ Wire.Err
-                { code = "bad-frame"; detail = Bwire.error_to_string err } ])
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+    count_malformed ();
+    send_last c.fd
+      (Bwire.encode_replies
+         [ Wire.Err
+             { code = "bad-frame"; detail = Bwire.error_to_string err } ]);
     close_conn c
   in
   (handle_line, handle_batch, reject_too_long, binary_fatal)
@@ -332,8 +315,7 @@ let http_handler ~logger ~routes ~close_conn =
         ~fields:
           [ ("status", Arnet_obs.Jsonu.Int resp.Http.status);
             ("reason", Arnet_obs.Jsonu.String resp.Http.reason) ];
-    (try write_all c.fd (Http.render resp)
-     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+    send_last c.fd (Http.render resp);
     close_conn c
   in
   (* answer as soon as the request head is complete ([eof] stands in
@@ -358,8 +340,8 @@ let http_handler ~logger ~routes ~close_conn =
         else if Buffer.length c.buf > max_line_bytes then
           http_respond c (Http.bad_request "request head too long"))
 
-(* read-side pump for one loop's connections: bytes into lines, frames
-   or an HTTP head depending on the connection's (switchable) proto *)
+(* read-side pump: bytes into lines, frames or an HTTP head depending
+   on the connection's (switchable) proto *)
 let conn_pump ~conns ~(handle_http : ?eof:bool -> conn -> unit) ~handle_line
     ~handle_batch ~reject_too_long ~binary_fatal ~close_conn ~chunk =
   let alive c = Hashtbl.mem conns c.fd in
@@ -416,12 +398,32 @@ let conn_pump ~conns ~(handle_http : ?eof:bool -> conn -> unit) ~handle_line
     | n ->
       Buffer.add_subbytes c.buf chunk 0 n;
       pump c
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> close_conn c
+    | exception Unix.Unix_error _ -> close_conn c
 
-(* shared front matter: sigpipe, the default registry behind a
-   telemetry endpoint, both listeners, the listen log lines *)
-let serve_setup ~metrics ~telemetry ~logger ~on_listen addr =
+let telemetry_routes ~metrics ~state ~epoch =
+  let module Http = Arnet_obs.Http_exporter in
+  match metrics with
+  | None -> []
+  | Some m ->
+    [ ("/metrics",
+       fun () ->
+         Service_metrics.set_epoch m !epoch;
+         (Http.prometheus_content_type, Service_metrics.scrape m state));
+      ("/healthz", fun () -> (Http.text_content_type, "ok\n"));
+      ("/statz",
+       fun () ->
+         ( Http.json_content_type,
+           Arnet_obs.Jsonu.to_string (Service_metrics.statz m state) ^ "\n" ))
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* the loop: one select over the listeners and every connection,
+   commands decided inline in the order it reads them *)
+
+let serve ?metrics ?telemetry ?(logger = Arnet_obs.Logger.null) ?snapshot
+    ?on_listen ?tap ~state addr =
   let module Log = Arnet_obs.Logger in
+  let module J = Arnet_obs.Jsonu in
   (* a client that disconnects mid-response must cost a dropped
      connection, not the whole daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -450,56 +452,26 @@ let serve_setup ~metrics ~telemetry ~logger ~on_listen addr =
   in
   (match on_listen with Some f -> f addr | None -> ());
   Log.info logger "listening"
-    ~fields:[ ("addr", Arnet_obs.Jsonu.String (addr_to_string addr)) ];
+    ~fields:[ ("addr", J.String (addr_to_string addr)) ];
   Option.iter
     (fun taddr ->
       Log.info logger "telemetry listening"
-        ~fields:[ ("addr", Arnet_obs.Jsonu.String (addr_to_string taddr)) ])
+        ~fields:[ ("addr", J.String (addr_to_string taddr)) ])
     telemetry;
-  (metrics, listener, telemetry_listener, cleanup_listeners)
-
-let telemetry_routes ~metrics ~state ~epoch ~sync =
-  let module Http = Arnet_obs.Http_exporter in
-  match metrics with
-  | None -> []
-  | Some m ->
-    [ ("/metrics",
-       fun () ->
-         sync.sync (fun () ->
-             Service_metrics.set_epoch m (Atomic.get epoch);
-             (Http.prometheus_content_type, Service_metrics.scrape m state)));
-      ("/healthz", fun () -> (Http.text_content_type, "ok\n"));
-      ("/statz",
-       fun () ->
-         sync.sync (fun () ->
-             ( Http.json_content_type,
-               Arnet_obs.Jsonu.to_string (Service_metrics.statz m state)
-               ^ "\n" ))) ]
-
-(* ------------------------------------------------------------------ *)
-(* the single-domain loop: one select over the listeners and every
-   connection, decisions applied inline in wire-read order — the
-   pre-sharding daemon, kept as its own loop so [--domains 1] is the
-   same code path (and the same decision stream) it always was *)
-
-let serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
-    addr =
-  let metrics, listener, telemetry_listener, cleanup_listeners =
-    serve_setup ~metrics ~telemetry ~logger ~on_listen addr
-  in
   let clock = Arnet_obs.Span.monotonic () in
-  let epoch = Atomic.make 0 in
-  let sync = { sync = (fun f -> f ()) } in
-  let routes = telemetry_routes ~metrics ~state ~epoch ~sync in
+  let epoch = ref 0 in
+  let routes = telemetry_routes ~metrics ~state ~epoch in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
+  (* idempotent: a handler may close a connection its reply write
+     already dropped *)
   let close_conn c =
-    Hashtbl.remove conns c.fd;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
+    if Hashtbl.mem conns c.fd then begin
+      Hashtbl.remove conns c.fd;
+      try Unix.close c.fd with Unix.Unix_error _ -> ()
+    end
   in
   let handle_line, handle_batch, reject_too_long, binary_fatal =
-    command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~domain:0 ~sync
-      ~after:(fun () -> ())
-      ~close_conn
+    command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn
   in
   let handle_http = http_handler ~logger ~routes ~close_conn in
   let chunk = Bytes.create 4096 in
@@ -507,20 +479,59 @@ let serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
     conn_pump ~conns ~handle_http ~handle_line ~handle_batch ~reject_too_long
       ~binary_fatal ~close_conn ~chunk
   in
-  let accept_from listener proto =
-    let conn_fd, _ = Unix.accept listener in
-    Hashtbl.replace conns conn_fd
-      { fd = conn_fd; buf = Buffer.create 256; proto }
+  let busy =
+    Wire.print_response
+      (Wire.Err
+         { code = "busy";
+           detail =
+             Printf.sprintf "connection limit %d reached" max_connections })
+    ^ "\n"
   in
+  (* 0 while accepting; otherwise when the listeners may be polled again *)
+  let paused_until = ref 0. in
+  let accept_from listener proto =
+    match Unix.accept listener with
+    | conn_fd, _ when Hashtbl.length conns >= max_connections ->
+      Log.warn logger "connection refused: at the connection limit"
+        ~fields:[ ("limit", J.Int max_connections) ];
+      send_last conn_fd busy;
+      (try Unix.close conn_fd with Unix.Unix_error _ -> ())
+    | conn_fd, _ ->
+      Hashtbl.replace conns conn_fd
+        { fd = conn_fd; buf = Buffer.create 256; proto }
+    | exception Unix.Unix_error (((Unix.EMFILE | Unix.ENFILE) as err), _, _) ->
+      Log.warn logger "accept: out of file descriptors, pausing"
+        ~fields:[ ("error", J.String (Unix.error_message err)) ];
+      paused_until := Unix.gettimeofday () +. accept_backoff
+    | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) ->
+      Log.warn logger "accept: connection aborted by the peer"
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
+  let telemetry_fd = Option.map fst telemetry_listener in
   let rec loop () =
     if State.drained state then ()
     else begin
-      let fds = listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
-      let telemetry_fd = Option.map fst telemetry_listener in
-      let fds =
-        match telemetry_fd with Some tl -> tl :: fds | None -> fds
+      (* while paused, leave the listeners out and wake when the pause
+         ends; the clock is read only then *)
+      let wait =
+        if !paused_until = 0. then -1.
+        else
+          let left = !paused_until -. Unix.gettimeofday () in
+          if left > 0. then left
+          else begin
+            paused_until := 0.;
+            -1.
+          end
       in
-      match Unix.select fds [] [] (-1.) with
+      let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
+      let fds =
+        if wait > 0. then fds
+        else
+          match telemetry_fd with
+          | Some tl -> tl :: listener :: fds
+          | None -> listener :: fds
+      in
+      match Unix.select fds [] [] wait with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | readable, _, _ ->
         List.iter
@@ -545,219 +556,3 @@ let serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
       match snapshot with
       | Some path -> Arnet_serial.Snapshot.to_file path (State.snapshot state)
       | None -> ())
-
-(* ------------------------------------------------------------------ *)
-(* the sharded loops: domain 0 (the calling domain) is the dispatcher —
-   it accepts, deals connections round-robin to D spawned worker
-   domains, and serves telemetry — while each worker runs its own
-   select loop over its own connections, doing all reads, parsing,
-   framing and writes in parallel.  Only the decision itself is
-   serialized, under one mutex, batch-at-a-time: admissions stay a
-   total order (the paper's call-by-call semantics, and what makes the
-   merged-order replay test meaningful) while the syscall work — the
-   measured bottleneck — shards.  Unix-domain listeners get nothing
-   from SO_REUSEPORT, so one dispatcher covers both address families. *)
-
-type worker_slot = {
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;  (** self-pipe: new conns, or stop *)
-  queue : Unix.file_descr list ref;  (** conns dealt, not yet adopted *)
-  queue_mu : Mutex.t;
-}
-
-let serve_sharded ~domains ~metrics ~telemetry ~logger ~snapshot ~on_listen
-    ~tap ~state addr =
-  let metrics, listener, telemetry_listener, cleanup_listeners =
-    serve_setup ~metrics ~telemetry ~logger ~on_listen addr
-  in
-  let lock = Mutex.create () in
-  let epoch = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let clock = Arnet_obs.Span.monotonic () in
-  let slots =
-    Array.init domains (fun _ ->
-        let wake_r, wake_w = Unix.pipe () in
-        { wake_r; wake_w; queue = ref []; queue_mu = Mutex.create () })
-  in
-  let stop_r, stop_w = Unix.pipe () in
-  let wake fd =
-    try ignore (Unix.write fd (Bytes.of_string "!") 0 1 : int)
-    with Unix.Unix_error _ -> ()
-  in
-  let drain_pipe fd =
-    let b = Bytes.create 64 in
-    try ignore (Unix.read fd b 0 64 : int) with Unix.Unix_error _ -> ()
-  in
-  (* first drained observation wins; every loop is poked exactly once *)
-  let announce_stop () =
-    if not (Atomic.exchange stop true) then begin
-      Array.iter (fun s -> wake s.wake_w) slots;
-      wake stop_w
-    end
-  in
-  let sync =
-    { sync =
-        (fun f ->
-          Mutex.lock lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock lock) f) }
-  in
-  let after () = if State.drained state then announce_stop () in
-  let worker index slot () =
-    let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-    let close_conn c =
-      Hashtbl.remove conns c.fd;
-      try Unix.close c.fd with Unix.Unix_error _ -> ()
-    in
-    let handle_line, handle_batch, reject_too_long, binary_fatal =
-      command_handler ~metrics ~logger ~clock ~state ~tap ~epoch
-        ~domain:(index + 1) ~sync ~after ~close_conn
-    in
-    (* workers never serve HTTP; a route-less handler keeps the pump
-       total if a conn record were ever mislabeled *)
-    let handle_http = http_handler ~logger ~routes:[] ~close_conn in
-    let chunk = Bytes.create 4096 in
-    let handle_readable =
-      conn_pump ~conns ~handle_http ~handle_line ~handle_batch
-        ~reject_too_long ~binary_fatal ~close_conn ~chunk
-    in
-    let adopt () =
-      Mutex.lock slot.queue_mu;
-      let fresh = !(slot.queue) in
-      slot.queue := [];
-      Mutex.unlock slot.queue_mu;
-      List.iter
-        (fun fd ->
-          Hashtbl.replace conns fd
-            { fd; buf = Buffer.create 256; proto = Command })
-        fresh
-    in
-    let rec loop () =
-      if Atomic.get stop then ()
-      else begin
-        adopt ();
-        let fds =
-          slot.wake_r :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns []
-        in
-        match Unix.select fds [] [] (-1.) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              if fd = slot.wake_r then drain_pipe slot.wake_r
-              else
-                match Hashtbl.find_opt conns fd with
-                | Some c -> handle_readable c
-                | None -> ())
-            readable;
-          loop ()
-      end
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Hashtbl.iter
-          (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-          conns)
-      loop
-  in
-  let spawned = Array.mapi (fun i slot -> Domain.spawn (worker i slot)) slots in
-  (* a domain may be joined only once; stop-and-join runs in the normal
-     path and again from [finally] on an exceptional exit *)
-  let joined = ref false in
-  let stop_and_join () =
-    if not !joined then begin
-      joined := true;
-      announce_stop ();
-      Array.iter Domain.join spawned
-    end
-  in
-  (* dispatcher: accept-and-deal plus telemetry, no decisions *)
-  let routes = telemetry_routes ~metrics ~state ~epoch ~sync in
-  let http_conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
-  let close_http c =
-    Hashtbl.remove http_conns c.fd;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  in
-  let handle_http = http_handler ~logger ~routes ~close_conn:close_http in
-  let chunk = Bytes.create 4096 in
-  let next = ref 0 in
-  let deal fd =
-    let slot = slots.(!next mod domains) in
-    incr next;
-    Mutex.lock slot.queue_mu;
-    slot.queue := fd :: !(slot.queue);
-    Mutex.unlock slot.queue_mu;
-    wake slot.wake_w
-  in
-  let rec loop () =
-    if Atomic.get stop then ()
-    else begin
-      let fds =
-        listener :: stop_r
-        :: Hashtbl.fold (fun fd _ acc -> fd :: acc) http_conns []
-      in
-      let telemetry_fd = Option.map fst telemetry_listener in
-      let fds = match telemetry_fd with Some tl -> tl :: fds | None -> fds in
-      match Unix.select fds [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | readable, _, _ ->
-        List.iter
-          (fun fd ->
-            if fd = stop_r then drain_pipe stop_r
-            else if fd = listener then begin
-              let conn_fd, _ = Unix.accept listener in
-              deal conn_fd
-            end
-            else if telemetry_fd = Some fd then begin
-              let conn_fd, _ = Unix.accept fd in
-              Hashtbl.replace http_conns conn_fd
-                { fd = conn_fd; buf = Buffer.create 256; proto = Http }
-            end
-            else
-              match Hashtbl.find_opt http_conns fd with
-              | Some c -> (
-                match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-                | 0 -> handle_http ~eof:true c
-                | n ->
-                  Buffer.add_subbytes c.buf chunk 0 n;
-                  handle_http c
-                | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
-                  close_http c)
-              | None -> ())
-          readable;
-        loop ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      stop_and_join ();
-      Hashtbl.iter
-        (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        http_conns;
-      Array.iter
-        (fun s ->
-          (try Unix.close s.wake_r with Unix.Unix_error _ -> ());
-          try Unix.close s.wake_w with Unix.Unix_error _ -> ())
-        slots;
-      (try Unix.close stop_r with Unix.Unix_error _ -> ());
-      (try Unix.close stop_w with Unix.Unix_error _ -> ());
-      cleanup_listeners ())
-    (fun () ->
-      loop ();
-      stop_and_join ();
-      State.finish state;
-      match snapshot with
-      | Some path -> Arnet_serial.Snapshot.to_file path (State.snapshot state)
-      | None -> ())
-
-let serve ?domains ?metrics ?telemetry ?(logger = Arnet_obs.Logger.null)
-    ?snapshot ?on_listen ?tap ~state addr =
-  let domains =
-    match domains with Some d -> d | None -> Arnet_pool.of_env ()
-  in
-  if domains < 1 then invalid_arg "Server.serve: domains must be >= 1";
-  if domains = 1 then
-    serve_single ~metrics ~telemetry ~logger ~snapshot ~on_listen ~tap ~state
-      addr
-  else
-    serve_sharded ~domains ~metrics ~telemetry ~logger ~snapshot ~on_listen
-      ~tap ~state addr

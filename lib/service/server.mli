@@ -1,27 +1,12 @@
-(** The socket front end of the daemon.
-
-    With [domains = 1] (the default when [ARNET_DOMAINS] is unset): a
-    single-threaded [Unix.select] loop multiplexing any number of
-    client connections over a Unix-domain or TCP listening socket.
-    Commands are applied to the shared {!State.t} in the order the
-    loop reads them — that serialization is the daemon's concurrency
-    model (admission decisions are a total order, as in the paper's
-    call-by-call semantics), so no locking exists anywhere on the
-    decision path.  This is the pre-sharding daemon, byte-for-byte.
-
-    With [domains = D > 1] the service plane shards: the calling
-    domain becomes a dispatcher that accepts and deals connections
-    round-robin to [D] spawned worker domains (and serves telemetry),
-    while each worker runs its own select loop doing reads, parsing,
-    framing and writes in parallel.  Only the decision itself —
-    {!Session.handle} plus metrics/tap accounting — is serialized,
-    under one mutex, a line or a whole binary batch at a time, so
-    admissions remain a total order while the syscall and codec work
-    scales out.  Control-plane commands (FAIL/REPAIR/RELOAD/LINK
-    PATCH/DRAIN) bump an epoch counter inside that lock — an
-    epoch-fenced broadcast: every decision after the bump sees the new
-    configuration, none before it does — published to telemetry as
-    [arnet_service_epoch].
+(** The socket front end of the daemon: a single-threaded
+    [Unix.select] loop multiplexing any number of client connections
+    over a Unix-domain or TCP listening socket.  Commands are applied
+    to the shared {!State.t} in the order the loop reads them — that
+    serialization is the daemon's concurrency model (admission
+    decisions are a total order, as in the paper's call-by-call
+    semantics), so no locking exists anywhere on the decision path.
+    Control-plane commands (FAIL/REPAIR/RELOAD/LINK PATCH/DRAIN) bump
+    an epoch counter, published to telemetry as [arnet_service_epoch].
 
     Any connection may upgrade from the line protocol to the {!Bwire}
     binary batch framing by sending [HELLO binary]: the [OK] comes
@@ -51,8 +36,12 @@ val max_line_bytes : int
     [ERR toolong] and disconnected, so one connection can never make
     the daemon buffer unbounded input. *)
 
+val max_connections : int
+(** The most connections {!serve} holds open at once (512, command and
+    telemetry together), well below [select]'s FD_SETSIZE.  A
+    connection past it is sent one [ERR busy] line and closed. *)
+
 val serve :
-  ?domains:int ->
   ?metrics:Service_metrics.t ->
   ?telemetry:addr ->
   ?logger:Arnet_obs.Logger.t ->
@@ -66,13 +55,14 @@ val serve :
     drain-time {!State.snapshot} is written to.  [on_listen] fires
     once the socket is accepting (the bench and tests use it to
     release the client).  A pre-existing Unix-socket path is replaced.
+    [tap] observes every decided (command, response) pair in decision
+    order — the merged-order equivalence test records through it.
 
-    [domains] (default {!Arnet_pool.of_env}, i.e. [ARNET_DOMAINS] or
-    1) selects the single-domain loop or the sharded one — see the
-    module header.  [tap] observes every decided (command, response)
-    pair in decision order, called inside the serialization discipline
-    — the merged-order equivalence test records through it.
-    @raise Invalid_argument when [domains < 1].
+    When [accept] runs out of descriptors (EMFILE, ENFILE) the failure
+    is logged and both listeners rest for 0.1 s while open connections
+    are still served; a connection aborted before it was accepted is
+    logged and skipped.  An I/O error on one connection closes that
+    connection only.
 
     [telemetry] opens a second listening socket in the same select
     loop speaking one-shot HTTP/1.0: [GET /metrics] renders the
@@ -88,7 +78,8 @@ val serve :
     commands crossing the slow threshold enter the slow log and are
     warned through [logger] (default: silent).  Without [metrics] the
     command path is exactly the pre-telemetry one — no clock reads.
-    @raise Unix.Unix_error when an address cannot be bound. *)
+    @raise Unix.Unix_error when an address cannot be bound (before
+    [on_listen] fires). *)
 
 val connect : ?retry_for:float -> addr -> in_channel * out_channel
 (** Client side: connect to a serving daemon, retrying refused

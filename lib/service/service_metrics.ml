@@ -14,7 +14,6 @@ type t = {
   started_at : float;
   commands : (string, M.counter) Hashtbl.t;
   latency : (string * string, M.histogram) Hashtbl.t;
-  domains : (int, M.counter) Hashtbl.t;
   batch_size : M.histogram;
   epoch : M.gauge;
   admitted : M.counter;
@@ -48,7 +47,6 @@ let create ?(slow_threshold = 0.010) ?(slow_keep = 32) () =
     started_at = Unix.gettimeofday ();
     commands = Hashtbl.create 8;
     latency = Hashtbl.create 16;
-    domains = Hashtbl.create 8;
     batch_size =
       M.histogram registry ~help:"Commands per binary frame"
         ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024.;
@@ -206,20 +204,6 @@ let record_malformed t = M.inc t.errors
 
 let record_batch t size = M.observe t.batch_size (float_of_int size)
 
-let domain_counter t d =
-  match Hashtbl.find_opt t.domains d with
-  | Some c -> c
-  | None ->
-    let c =
-      M.counter t.registry
-        ~labels:[ ("domain", string_of_int d) ]
-        ~help:"Wire requests served, by owning domain"
-        "arnet_domain_requests_total"
-    in
-    Hashtbl.add t.domains d c;
-    c
-
-let record_domain t d = M.inc (domain_counter t d)
 let set_epoch t n = M.set t.epoch (float_of_int n)
 
 let refresh t st =

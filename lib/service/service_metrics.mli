@@ -55,11 +55,6 @@ val record_malformed : t -> unit
 val record_batch : t -> int -> unit
 (** Observe one binary frame's command count into [arnet_batch_size]. *)
 
-val record_domain : t -> int -> unit
-(** Count one wire request against
-    [arnet_domain_requests_total{domain}] — the sharding-balance
-    series (domain 0 is the single-domain loop / the dispatcher). *)
-
 val set_epoch : t -> int -> unit
 (** Publish the control-plane epoch ([arnet_service_epoch]): the
     server bumps its epoch on every FAIL/REPAIR/RELOAD/LINK

@@ -153,74 +153,77 @@ let run ?(warmup = 10.) ?observer ~graph ~policy trace =
   | None -> ());
   stats
 
-let replicate_fresh ?warmup ?mean_holding ?observe ?(domains = 1) ~seeds
-    ~duration ~graph ~matrix ~policies () =
-  if seeds = [] then invalid_arg "Engine.replicate: no seeds";
-  if domains < 1 then invalid_arg "Engine.replicate: domains must be >= 1";
-  let names = List.map (fun p -> p.name) (policies ()) in
-  (* a shared observer sink must see whole Run_start..Run_end frames in
-     seed-major sequence, so observed replications stay on one domain *)
-  let domains = if Option.is_some observe then 1 else domains in
-  let trace_for seed =
-    let rng = Rng.substream (Rng.create ~seed) "trace" in
-    Trace.generate ?mean_holding ~rng ~duration matrix
-  in
-  let fresh_policies () =
-    let fresh = policies () in
-    if List.map (fun p -> p.name) fresh <> names then
-      invalid_arg "Engine.replicate_fresh: factory changed policy names";
-    fresh
-  in
+let replicate_grid ~caller ?(domains = 1) ~seeds ~names ~context ~run () =
+  if seeds = [] then invalid_arg (caller ^ ": no seeds");
+  if domains < 1 then invalid_arg (caller ^ ": domains must be >= 1");
+  let np = List.length names in
   if domains = 1 then begin
-    let results = List.map (fun name -> (name, ref [])) names in
-    let one_seed seed =
-      let trace = trace_for seed in
-      List.iter2
-        (fun policy (_, acc) ->
-          let observer =
-            match observe with
-            | None -> None
-            | Some choose -> choose ~seed ~policy:policy.name
-          in
-          acc := run ?warmup ?observer ~graph ~policy trace :: !acc)
-        (fresh_policies ()) results
-    in
-    List.iter one_seed seeds;
-    List.map (fun (name, acc) -> (name, List.rev !acc)) results
+    (* one context per seed, shared by that seed's runs *)
+    let acc = Array.make np [] in
+    List.iter
+      (fun seed ->
+        let ctx = context seed in
+        for pi = 0 to np - 1 do
+          acc.(pi) <- run ctx pi :: acc.(pi)
+        done)
+      seeds;
+    List.mapi (fun pi name -> (name, List.rev acc.(pi))) names
   end
   else begin
     (* shard at (seed x policy) granularity; every job rebuilds its own
-       trace and policy from the seed, so no mutable state crosses
-       domains and each run is bit-identical to its sequential twin *)
+       context from the seed, so no mutable state crosses domains and
+       each run is bit-identical to its sequential twin *)
     let seed_arr = Array.of_list seeds in
     let name_arr = Array.of_list names in
-    let np = Array.length name_arr in
-    let jobs =
-      List.concat_map
-        (fun si -> List.init np (fun pi -> (si, pi)))
-        (List.init (Array.length seed_arr) Fun.id)
-    in
-    let one (si, pi) =
-      let trace = trace_for seed_arr.(si) in
-      run ?warmup ~graph ~policy:(List.nth (fresh_policies ()) pi) trace
-    in
-    let stats =
-      try Pool.map ~domains one jobs
-      with Pool.Worker { index; exn } ->
+    let ns = Array.length seed_arr in
+    let jobs = List.init (ns * np) Fun.id in
+    let results =
+      try
+        Arnet_pool.map ~domains
+          (fun j -> run (context seed_arr.(j / np)) (j mod np))
+          jobs
+      with Arnet_pool.Worker { index; exn } ->
         raise
           (Replication_failure
              { seed = seed_arr.(index / np);
                policy = name_arr.(index mod np);
                exn })
     in
-    let flat = Array.of_list stats in
+    let flat = Array.of_list results in
     List.mapi
-      (fun pi name ->
-        ( name,
-          List.init (Array.length seed_arr) (fun si ->
-              flat.((si * np) + pi)) ))
+      (fun pi name -> (name, List.init ns (fun si -> flat.((si * np) + pi))))
       names
   end
+
+let replicate_fresh ?warmup ?mean_holding ?observe ?domains ~seeds ~duration
+    ~graph ~matrix ~policies () =
+  let names = List.map (fun p -> p.name) (policies ()) in
+  (* a shared observer sink must see whole Run_start..Run_end frames in
+     seed-major sequence, so observed replications stay on one domain *)
+  let domains =
+    match (observe, domains) with
+    | Some _, Some d when d >= 1 -> Some 1
+    | _ -> domains
+  in
+  let context seed =
+    let rng = Rng.substream (Rng.create ~seed) "trace" in
+    let trace = Trace.generate ?mean_holding ~rng ~duration matrix in
+    let fresh = policies () in
+    if List.map (fun p -> p.name) fresh <> names then
+      invalid_arg "Engine.replicate_fresh: factory changed policy names";
+    (seed, trace, Array.of_list fresh)
+  in
+  let run_one (seed, trace, fresh) pi =
+    let policy = fresh.(pi) in
+    let observer =
+      match observe with
+      | None -> None
+      | Some choose -> choose ~seed ~policy:policy.name
+    in
+    run ?warmup ?observer ~graph ~policy trace
+  in
+  replicate_grid ~caller:"Engine.replicate" ?domains ~seeds ~names ~context
+    ~run:run_one ()
 
 let replicate ?warmup ?mean_holding ?observe ?domains ~seeds ~duration ~graph
     ~matrix ~policies () =

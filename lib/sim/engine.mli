@@ -81,7 +81,7 @@ val replicate :
     times".
 
     [domains] (default 1) shards the independent (seed, policy) runs
-    across that many OCaml domains via {!Pool.map}.  Each run
+    across that many OCaml domains via {!replicate_grid}.  Each run
     regenerates its trace from its seed inside the worker, so no
     mutable state crosses domains and the returned statistics are
     bit-identical to a sequential run, reassembled in the same
@@ -127,3 +127,31 @@ val replicate_fresh :
     replication clean, and factories therefore must be safe to call
     concurrently.  Statistics are bit-identical to the sequential
     run. *)
+
+val replicate_grid :
+  caller:string ->
+  ?domains:int ->
+  seeds:int list ->
+  names:string list ->
+  context:(int -> 'ctx) ->
+  run:('ctx -> int -> 'r) ->
+  unit ->
+  (string * 'r list) list
+(** The (seed × policy) replication grid shared by this engine,
+    [Arnet_failure.Failure_engine] and [Arnet_multirate.Mr_engine].
+    [context seed] builds what one seed's runs share — its trace, and
+    whatever else the caller derives from the seed (a failure script,
+    fresh policies) — and [run ctx i] replays the policy at index [i]
+    of [names].  Returns, per name in order, the per-seed results in
+    [seeds] order.
+
+    With [domains = 1] (the default) each seed's context is built
+    once, its runs follow in policy order, and a raising run
+    propagates unwrapped.  With [domains > 1] every run is a separate
+    {!Arnet_pool.map} job that builds its own context inside the
+    worker, so [context] and [run] must be safe to call concurrently;
+    when they depend only on the seed and the index, the results are
+    bit-identical to the sequential ones.  A raising run cancels the
+    pool and re-raises as {!Replication_failure}.
+    @raise Invalid_argument (prefixed with [caller]) on empty [seeds]
+    or [domains < 1]. *)

@@ -1,6 +1,6 @@
 open Arnet_experiments
 
-let env_domains = Arnet_sim.Pool.of_env ()
+let env_domains = Arnet_pool.of_env ()
 
 let tiny =
   (* even faster than Config.quick: enough to smoke the machinery;

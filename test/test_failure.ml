@@ -398,7 +398,7 @@ let test_engine_golden () =
      the parallel path against the same frozen numbers *)
   let r =
     match
-      Failure_engine.replicate_fresh ~warmup:5. ~domains:(Pool.of_env ())
+      Failure_engine.replicate_fresh ~warmup:5. ~domains:(Arnet_pool.of_env ())
         ~seeds:[ 1 ] ~duration ~graph:g ~matrix
         ~script:(fun ~seed -> golden_script ~seed ~duration g)
         ~policies:(fun () -> [ Fault_scheme.controlled ~reserves routes ])

@@ -13,7 +13,7 @@ let config =
   { Arnet_experiments.Config.seeds = [ 1; 2; 3 ];
     duration = 60.;
     warmup = 10.;
-    domains = Arnet_sim.Pool.of_env () }
+    domains = Arnet_pool.of_env () }
 
 let run_schemes ~graph ~routes ~matrix ~with_ott =
   let policies =

@@ -155,7 +155,7 @@ let test_simulation_cross_check () =
         { Arnet_experiments.Config.seeds = [ 1; 2; 3; 4; 5 ];
           duration = 110.;
           warmup = 10.;
-          domains = Arnet_sim.Pool.of_env () }
+          domains = Arnet_pool.of_env () }
       ()
   in
   match rows with

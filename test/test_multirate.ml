@@ -252,6 +252,36 @@ let test_mr_replicate_shares_traces () =
       (Array.fold_left ( + ) 0 b2.Mr_engine.offered)
   | _ -> Alcotest.fail "unexpected shape"
 
+(* the parallel path shards (seed x policy) runs over domains, each
+   regenerating its seed's trace: it must reproduce the sequential
+   statistics exactly, in the same seed-major shape *)
+let test_mr_replicate_parallel_matches_sequential () =
+  let g = Builders.full_mesh ~nodes:4 ~capacity:12 in
+  let routes = Route_table.build g in
+  let demand = Matrix.uniform ~nodes:4 ~demand:5. in
+  let w =
+    Mr_trace.workload
+      [ (Call_class.narrowband, demand);
+        (Call_class.wideband, Matrix.scale demand 0.2) ]
+  in
+  let reserves = Array.make (Graph.link_count g) 2 in
+  let go domains =
+    Mr_engine.replicate ~warmup:5. ~domains ~seeds:[ 3; 1; 4 ] ~duration:40.
+      ~graph:g ~workload:w
+      ~policies:
+        [ Mr_scheme.single_path routes w;
+          Mr_scheme.uncontrolled routes w;
+          Mr_scheme.controlled ~reserves routes w ]
+      ()
+  in
+  let sequential = go 1 in
+  Alcotest.(check bool) "the runs block something" true
+    (List.exists
+       (fun (_, runs) ->
+         List.exists (fun s -> Mr_engine.call_blocking s > 0.) runs)
+       sequential);
+  Alcotest.(check bool) "~domains:3 = ~domains:1" true (go 3 = sequential)
+
 let test_mr_degenerates_to_single_rate_engine () =
   (* one class of bandwidth 1: the multi-rate engine must make exactly
      the decisions of the single-rate engine on the same call sequence *)
@@ -333,6 +363,8 @@ let () =
             test_mr_protection_levels;
           Alcotest.test_case "replicate shares traces" `Quick
             test_mr_replicate_shares_traces;
+          Alcotest.test_case "replicate ~domains:3 = ~domains:1" `Quick
+            test_mr_replicate_parallel_matches_sequential;
           Alcotest.test_case "degenerates to single-rate engine" `Quick
             test_mr_degenerates_to_single_rate_engine;
           Alcotest.test_case "KR agreement end-to-end" `Slow

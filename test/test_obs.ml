@@ -458,28 +458,6 @@ let test_metrics_sink () =
   check_contains "throughput gauge rendered" text "arnet_events_per_second"
 
 (* ------------------------------------------------------------------ *)
-(* Instrument rides the counter sink *)
-
-let test_instrument_counters_equivalence () =
-  let g, routes, matrix = quadrangle_setup ~demand:9. in
-  let policy =
-    Arnet_core.Scheme.controlled
-      ~reserves:(Array.make (Graph.link_count g) 2)
-      routes
-  in
-  let recorder = Instrument.create g in
-  let rng = Rng.create ~seed:31 in
-  let trace = Trace.generate ~rng ~duration:25. matrix in
-  (* warm-up 0 on both sides: the recorder counts everything it sees *)
-  let stats =
-    Engine.run ~warmup:0. ~graph:g ~policy:(Instrument.wrap recorder policy)
-      trace
-  in
-  match Obs.Counters.runs (Instrument.counters recorder) with
-  | [ run ] -> check_run_matches_stats run stats
-  | runs -> Alcotest.failf "expected 1 run, got %d" (List.length runs)
-
-(* ------------------------------------------------------------------ *)
 (* Span *)
 
 let test_span () =
@@ -720,9 +698,7 @@ let () =
           Alcotest.test_case "replicate observed matches stats" `Quick
             test_replicate_observed_matches_stats;
           Alcotest.test_case "unobserved runs emit nothing" `Quick
-            test_unobserved_runs_emit_nothing;
-          Alcotest.test_case "instrument rides the counter sink" `Quick
-            test_instrument_counters_equivalence ] );
+            test_unobserved_runs_emit_nothing ] );
       ( "metrics",
         [ Alcotest.test_case "registry" `Quick test_metrics_registry;
           Alcotest.test_case "histogram" `Quick test_metrics_histogram;

@@ -11,6 +11,7 @@ open Arnet_paths
 open Arnet_traffic
 open Arnet_core
 open Arnet_sim
+module Pool = Arnet_pool
 
 let seeds = [ 1; 2; 3; 4; 5 ]
 

@@ -1164,14 +1164,190 @@ let test_telemetry_scrape_determinism () =
     plain.Loadgen.blocked scraped.Loadgen.blocked;
   Alcotest.(check int) "no wire errors" 0 scraped.Loadgen.errors
 
-(* ------------------------------------------------------------------ *)
-(* the sharded daemon and the binary framing *)
+(* The two ways a connection flood used to kill the daemon, against
+   the real [arn serve] binary: more connections than select(2) can
+   watch, and more than the process has descriptors for.  Raw sockets
+   with a receive timeout, so a daemon that never answers fails the
+   test instead of hanging it. *)
 
-(* [--domains 1] must be the pre-sharding daemon byte-for-byte: this
-   session was recorded against the tree before the sharding refactor
-   and frozen as service_transcript_d1.golden.  The drive below is the
-   recorder, verbatim — raw lines (including the malformed ones) so
-   whitespace tolerance and error text are pinned too. *)
+let arn_exe () =
+  (* cwd is test/ under dune runtest, the project root under dune exec *)
+  List.find Sys.file_exists [ "../bin/arn.exe"; "_build/default/bin/arn.exe" ]
+
+let raw_connect ?(retry_for = 0.) sock =
+  let deadline = Unix.gettimeofday () +. retry_for in
+  let rec attempt () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      fd
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+      when Unix.gettimeofday () < deadline ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      attempt ()
+  in
+  attempt ()
+
+(* one reply line, or "" at end of stream *)
+let raw_read_line fd =
+  let b = Buffer.create 64 and c = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd c 0 1 with
+    | 0 -> Buffer.contents b
+    | _ when Bytes.get c 0 = '\n' -> Buffer.contents b
+    | _ ->
+      Buffer.add_bytes b c;
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "no reply within 5 s (read so far: %S)" (Buffer.contents b)
+  in
+  go ()
+
+let raw_request fd line =
+  let s = Bytes.of_string (line ^ "\n") in
+  ignore (Unix.write fd s 0 (Bytes.length s) : int);
+  raw_read_line fd
+
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* [arn serve] on the quadrangle under an optional descriptor limit,
+   logging to a file; [f] gets the socket path and the log path.  The
+   daemon must drain and exit 0 once [f] returns. *)
+let with_daemon ?fd_limit f =
+  let sock = socket_path () in
+  let log = Filename.temp_file "arnet-daemon" ".log" in
+  let argv =
+    [ arn_exe (); "serve"; "--network"; "quadrangle"; "--listen";
+      "unix:" ^ sock; "--log-level"; "warn" ]
+  in
+  let argv =
+    match fd_limit with
+    | None -> argv
+    | Some n ->
+      "/bin/sh" :: "-c" :: Printf.sprintf "ulimit -n %d && exec \"$0\" \"$@\"" n
+      :: argv
+  in
+  let log_fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close log_fd)
+      (fun () ->
+        Unix.create_process (List.hd argv) (Array.of_list argv) Unix.stdin
+          log_fd log_fd)
+  in
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a daemon found dead mid-test was already reaped *)
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid : int * Unix.process_status)
+        with Unix.Unix_error _ -> ()
+      end;
+      (try Sys.remove sock with Sys_error _ -> ());
+      try Sys.remove log with Sys_error _ -> ())
+    (fun () ->
+      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+       with Invalid_argument _ -> ());
+      f ~pid ~sock ~log;
+      (* the closes above reach the daemon asynchronously: a fresh
+         connection may still find it full for a moment *)
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec stats () =
+        let fd = raw_connect sock in
+        let reply = raw_request fd "STATS" in
+        if starts_with "STATS " reply then fd
+        else begin
+          Unix.close fd;
+          if Unix.gettimeofday () > deadline then
+            Alcotest.failf "daemon no longer serves: %S" reply;
+          Unix.sleepf 0.02;
+          stats ()
+        end
+      in
+      let fd = stats () in
+      Alcotest.(check string) "drains" "OK" (raw_request fd "DRAIN");
+      Unix.close fd;
+      let _, status = Unix.waitpid [] pid in
+      reaped := true;
+      let text = In_channel.with_open_bin log In_channel.input_all in
+      Alcotest.(check bool)
+        (Printf.sprintf "clean exit (log: %S)" text)
+        true
+        (status = Unix.WEXITED 0);
+      Alcotest.(check bool) "no listen failure reported" false
+        (contains text "cannot listen");
+      text)
+
+let test_socket_connection_cap () =
+  let text =
+    with_daemon (fun ~pid:_ ~sock ~log:_ ->
+        let held =
+          List.init Server.max_connections (fun i ->
+              let fd =
+                raw_connect ~retry_for:(if i = 0 then 10. else 0.) sock
+              in
+              let reply = raw_request fd "STATS" in
+              if not (starts_with "STATS " reply) then
+                Alcotest.failf "connection %d: %S" i reply;
+              fd)
+        in
+        (* past the cap: one ERR busy line, unprompted, then close *)
+        for i = 1 to 8 do
+          let fd = raw_connect sock in
+          (match Wire.parse_response (raw_read_line fd) with
+          | Ok (Wire.Err { code = "busy"; _ }) -> ()
+          | Ok r -> Alcotest.failf "refusal %d: %s" i (Wire.print_response r)
+          | Error msg -> Alcotest.failf "refusal %d: %s" i msg);
+          Alcotest.(check string) "then closed" "" (raw_read_line fd);
+          Unix.close fd
+        done;
+        List.iter Unix.close held)
+  in
+  check_contains "refusals logged" text "connection limit"
+
+let test_socket_descriptor_exhaustion () =
+  let text =
+    with_daemon ~fd_limit:48 (fun ~pid ~sock ~log ->
+        (* more connections than the daemon has descriptors: the tail
+           waits in the listen backlog while accept fails *)
+        let first = raw_connect ~retry_for:10. sock in
+        let rest = List.init 59 (fun _ -> raw_connect sock) in
+        let deadline = Unix.gettimeofday () +. 10. in
+        let rec await_emfile () =
+          let text = In_channel.with_open_bin log In_channel.input_all in
+          if not (contains text "out of file descriptors") then begin
+            (match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ -> ()
+            | _ -> Alcotest.failf "daemon exited: %S" text);
+            if Unix.gettimeofday () > deadline then
+              Alcotest.failf "accept never ran dry: %S" text;
+            Unix.sleepf 0.02;
+            await_emfile ()
+          end
+        in
+        await_emfile ();
+        (* still serving the connections it holds *)
+        let reply = raw_request first "STATS" in
+        if not (starts_with "STATS " reply) then
+          Alcotest.failf "held connection: %S" reply;
+        List.iter Unix.close (first :: rest))
+  in
+  check_contains "accept failure logged" text "out of file descriptors"
+
+(* ------------------------------------------------------------------ *)
+(* the serve loop's total order and the binary framing *)
+
+(* The serve loop must be the pre-sharding daemon byte-for-byte: this
+   session was recorded against the single-threaded daemon before
+   domain sharding was added (and later removed) and frozen as
+   service_transcript_d1.golden.  The drive below is the recorder,
+   verbatim — raw lines (including the malformed ones) so whitespace
+   tolerance and error text are pinned too. *)
 let transcript_fixed_lines =
   [ "SETUP 0 1"; "SETUP 0 1 0.25"; "setup 0 1 0.5"; "  SETUP  0   1  0.75  ";
     "SETUP 0 1 1.0"; "SETUP 0 1 1.25"; "SETUP 0 1 1.5"; "SETUP 1 3 1.75";
@@ -1186,9 +1362,7 @@ let test_golden_transcript_d1 () =
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
   let st = State.create ~matrix g in
   let addr = Server.Unix_sock (socket_path ()) in
-  let server =
-    Thread.create (fun () -> Server.serve ~domains:1 ~state:st addr) ()
-  in
+  let server = Thread.create (fun () -> Server.serve ~state:st addr) () in
   let transcript =
     Fun.protect
       ~finally:(fun () -> drain_and_join addr server)
@@ -1240,22 +1414,18 @@ let test_golden_transcript_d1 () =
     transcript;
   Alcotest.(check bool) "drained" true (State.drained st)
 
-(* the sharded daemon's one ordering guarantee: decisions are a total
-   order.  Whatever interleaving the workers produce, replaying the
-   tap-recorded merged order through a fresh state must reproduce
+(* the daemon's one ordering guarantee: decisions are a total order.
+   Whatever interleaving the concurrent connections produce, replaying
+   the tap-recorded merged order through a fresh state must reproduce
    every response — ids, paths, errors — and the aggregate counters. *)
-let test_sharded_merged_order () =
+let test_merged_order () =
   let g = quadrangle () in
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
   let st = State.create ~matrix g in
   let addr = Server.Unix_sock (socket_path ()) in
   let taped = ref [] in
   let tap cmd resp = taped := (cmd, resp) :: !taped in
-  let server =
-    Thread.create
-      (fun () -> Server.serve ~domains:3 ~tap ~state:st addr)
-      ()
-  in
+  let server = Thread.create (fun () -> Server.serve ~tap ~state:st addr) () in
   let anomalies = Atomic.make 0 in
   Fun.protect
     ~finally:(fun () -> drain_and_join addr server)
@@ -1421,9 +1591,7 @@ let test_binary_batch_loadgen () =
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
   let addr = Server.Unix_sock (socket_path ()) in
   let st = State.create ~matrix g in
-  let server =
-    Thread.create (fun () -> Server.serve ~domains:2 ~state:st addr) ()
-  in
+  let server = Thread.create (fun () -> Server.serve ~state:st addr) () in
   let result =
     Fun.protect
       ~finally:(fun () -> drain_and_join addr server)
@@ -1452,8 +1620,7 @@ let test_batch_metrics_scrape () =
   in
   let server =
     Thread.create
-      (fun () ->
-        Server.serve ~domains:2 ~metrics ~telemetry:tel ~state:st addr)
+      (fun () -> Server.serve ~metrics ~telemetry:tel ~state:st addr)
       ()
   in
   Fun.protect
@@ -1475,10 +1642,8 @@ let test_batch_metrics_scrape () =
       check_contains "batch histogram" resp "arnet_batch_size_bucket";
       check_contains "full batches observed" resp
         {|arnet_batch_size_bucket{le="8.0"}|};
-      check_contains "per-domain counters" resp
-        {|arnet_domain_requests_total{domain="1"}|};
-      check_contains "both workers saw traffic" resp
-        {|arnet_domain_requests_total{domain="2"}|};
+      Alcotest.(check bool) "no per-domain series from the single loop"
+        false (contains resp "arnet_domain_requests_total");
       check_contains "epoch gauge" resp "arnet_service_epoch 1.0")
 
 (* ------------------------------------------------------------------ *)
@@ -1532,7 +1697,11 @@ let () =
           Alcotest.test_case "failure storm is deterministic" `Slow
             test_socket_failure_storm;
           Alcotest.test_case "oversized lines are rejected" `Quick
-            test_socket_line_cap ] );
+            test_socket_line_cap;
+          Alcotest.test_case "connections past the cap are refused" `Slow
+            test_socket_connection_cap;
+          Alcotest.test_case "accept survives descriptor exhaustion" `Slow
+            test_socket_descriptor_exhaustion ] );
       ( "telemetry",
         [ Alcotest.test_case "live endpoints" `Quick test_telemetry_endpoints;
           Alcotest.test_case "scraping does not perturb admission" `Slow
@@ -1541,7 +1710,7 @@ let () =
         [ Alcotest.test_case "--domains 1 is the pre-sharding daemon" `Slow
             test_golden_transcript_d1;
           Alcotest.test_case "merged order replays decision for decision"
-            `Slow test_sharded_merged_order;
+            `Slow test_merged_order;
           Alcotest.test_case "HELLO binary upgrade and raw frames" `Slow
             test_binary_upgrade;
           Alcotest.test_case "batched binary load conserves counts" `Slow
