@@ -26,27 +26,32 @@ let distances_to g ~dst =
   let preds v = List.map (fun (l : Link.t) -> l.Link.src) (Graph.in_links g v) in
   bfs (Graph.node_count g) dst preds
 
-let min_hop_path g ~src ~dst =
-  if src = dst then invalid_arg "Bfs.min_hop_path: src = dst";
-  let dist = distances_to g ~dst in
+let greedy_walk g ~dist ~src ~dst =
+  if src = dst then invalid_arg "Bfs.greedy_walk: src = dst";
   if dist.(src) = max_int then None
   else begin
     (* Walk greedily towards dst, always taking the smallest-indexed
-       neighbour that lies on some shortest path.  Successors are sorted
-       ascending, so the first qualifying one gives the lexicographically
-       smallest min-hop node sequence. *)
-    let rec walk v acc =
-      if v = dst then List.rev (v :: acc)
-      else
-        let next =
-          List.find
-            (fun w -> dist.(w) <> max_int && dist.(w) = dist.(v) - 1)
-            (Graph.successors g v)
-        in
-        walk next (v :: acc)
+       neighbour that lies on some shortest path.  Out-links are sorted
+       by destination, so the first qualifying one gives the
+       lexicographically smallest min-hop node sequence, and it carries
+       the link id with it. *)
+    let rec closer d = function
+      | [] -> raise Not_found
+      | (l : Link.t) :: rest -> if dist.(l.Link.dst) = d then l else closer d rest
     in
-    Some (Path.of_nodes_unchecked g (Array.of_list (walk src [])))
+    let hops = dist.(src) in
+    let nodes = Array.make (hops + 1) src and link_ids = Array.make hops 0 in
+    for i = 0 to hops - 1 do
+      let l = closer (hops - i - 1) (Graph.out_links g nodes.(i)) in
+      nodes.(i + 1) <- l.Link.dst;
+      link_ids.(i) <- l.Link.id
+    done;
+    Some (Path.with_link_ids_unchecked ~nodes ~link_ids)
   end
+
+let min_hop_path g ~src ~dst =
+  if src = dst then invalid_arg "Bfs.min_hop_path: src = dst";
+  greedy_walk g ~dist:(distances_to g ~dst) ~src ~dst
 
 let eccentricity g v =
   let dist = distances g ~src:v in

@@ -30,9 +30,12 @@ val with_link_ids_unchecked : nodes:int array -> link_ids:int array -> t
 (** Fully trusted constructor: no graph lookup at all.  The caller owns
     both invariants — [nodes] is a loop-free path and [link_ids.(i)] is
     the id of link [nodes.(i) -> nodes.(i+1)] in whatever graph the path
-    will be used against.  Exists for {!Route_table.patch}, which
-    relocates surviving paths onto a graph whose link ids were renumbered
-    by {!Arnet_topology.Graph.without_links}; both arrays are adopted
+    will be used against.  Exists for walks that already hold each
+    link — {!Enumerate.paths_from} keeps a link stack beside its node
+    stack, {!Bfs.greedy_walk} steps along out-links — and for
+    {!Route_table.patch}, which relocates surviving paths onto a graph
+    whose link ids were renumbered by
+    {!Arnet_topology.Graph.without_links}; both arrays are adopted
     without copying (see the aliasing invariant above).
     @raise Invalid_argument on a length mismatch. *)
 

@@ -30,24 +30,15 @@ let mk_entry primary candidates =
   in
   { primary; candidates; primary_alternates }
 
-(* the greedy walk of Bfs.min_hop_path, lifted out so one backward BFS
-   per destination serves every source — identical output, since the
-   walk depends only on the distance field and the sorted successors *)
-let primary_from_dist g dist ~src ~dst =
-  if dist.(src) = max_int then None
-  else begin
-    let rec walk v acc =
-      if v = dst then List.rev (v :: acc)
-      else
-        let next =
-          List.find
-            (fun w -> dist.(w) <> max_int && dist.(w) = dist.(v) - 1)
-            (Graph.successors g v)
-        in
-        walk next (v :: acc)
-    in
-    Some (Path.of_nodes_unchecked g (Array.of_list (walk src [])))
-  end
+(* a min-hop entry from the pair's candidates in (hops, lex) order.  The
+   head candidate, when there is one, is the lexicographically smallest
+   min-hop path — where [Bfs.greedy_walk] would lead — so it is the
+   primary, shared rather than copied; only a pair with no candidate
+   within H walks a backward BFS field ([walk ()]). *)
+let minhop_entry ~walk = function
+  | [] -> mk_entry (walk ()) []
+  | head :: rest as candidates ->
+    { primary = Some head; candidates; primary_alternates = Array.of_list rest }
 
 let check_h = function
   | Some h when h < 1 -> invalid_arg "Route_table.build: h < 1"
@@ -91,19 +82,23 @@ let build ?(domains = 1) ?h ?primary g =
   | None ->
     let n = Graph.node_count g in
     check_h h;
-    let h = match h with None -> n - 1 | Some h -> h in
     (* one backward BFS per destination, shared by all n sources (the
-       reference pipeline repeats it per ordered pair) *)
+       reference pipeline repeats it per ordered pair); only pairs with
+       no candidate within H walk it *)
     let dist_to = Array.init n (fun dst -> Bfs.distances_to g ~dst) in
     let row src =
-      let buckets = Enumerate.paths_from ~max_hops:h g ~src in
+      let buckets = Enumerate.paths_from ?max_hops:h g ~src in
       Array.init n (fun dst ->
           if src = dst then empty_entry
           else
-            mk_entry (primary_from_dist g dist_to.(dst) ~src ~dst) buckets.(dst))
+            minhop_entry buckets.(dst) ~walk:(fun () ->
+                Bfs.greedy_walk g ~dist:dist_to.(dst) ~src ~dst))
     in
     let rows = Arnet_pool.map ~domains row (List.init n Fun.id) in
-    { graph = g; h; entries = Array.of_list rows; kind = Minhop }
+    { graph = g;
+      h = Option.value h ~default:(n - 1);
+      entries = Array.of_list rows;
+      kind = Minhop }
 
 let protected ?(domains = 1) ?weight g =
   let n = Graph.node_count g in
@@ -247,9 +242,8 @@ let recompute ~domains g' ~h by_dst =
       (fun src ->
         ( src,
           dst,
-          mk_entry
-            (primary_from_dist g' dist ~src ~dst)
-            (Enumerate.simple_paths ~max_hops:h g' ~src ~dst) ))
+          minhop_entry (Enumerate.simple_paths ~max_hops:h g' ~src ~dst)
+            ~walk:(fun () -> Bfs.greedy_walk g' ~dist ~src ~dst) ))
       srcs
   in
   List.concat (Arnet_pool.map ~domains one groups)

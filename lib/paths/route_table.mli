@@ -28,14 +28,20 @@ val build :
     whatever primary path is in force at call time, see
     {!alternates_excluding}).
 
-    With the default primary the construction is memoized: one backward
-    BFS per destination (shared by all sources) and one DFS tree per
-    source ({!Enumerate.paths_from}) replace the per-ordered-pair sweeps,
-    and [domains] (default 1) shards the per-source rows across OCaml
-    domains.  The resulting table is identical — path for path — to the
-    sequential per-pair construction for every domain count.  A custom
-    [primary] closure may be impure, so it always builds sequentially on
-    the calling domain in per-pair order; [domains] is ignored.
+    With the default primary the construction is memoized: one DFS tree
+    per source ({!Enumerate.paths_from}) replaces the per-ordered-pair
+    sweeps, and [domains] (default 1) shards the per-source rows across
+    OCaml domains.  Link ids ride the DFS stack, and the (hops, lex)
+    candidate order comes from the DFS pre-order plus a stable sort by
+    hop count.  A pair's primary is its head candidate (the same value,
+    not a copy), which is the lexicographically smallest min-hop path;
+    only pairs with no candidate within [h] walk a backward BFS (one per
+    destination, shared by all sources, {!Bfs.greedy_walk}).  The
+    resulting table is identical — path for path, link id for link id —
+    to the sequential per-pair construction for every domain count,
+    including on one-node and disconnected graphs.  A custom [primary]
+    closure may be impure, so it always builds sequentially on the
+    calling domain in per-pair order; [domains] is ignored.
 
     @raise Invalid_argument if [h < 1], [domains < 1], or some pair has
     no primary path while the graph claims connectivity for it. *)

@@ -156,7 +156,17 @@ let test_enumerate_validation () =
   check_invalid "src = dst" (fun () ->
       ignore (Enumerate.simple_paths g ~src:1 ~dst:1));
   check_invalid "bad max_hops" (fun () ->
-      ignore (Enumerate.simple_paths ~max_hops:0 g ~src:0 ~dst:1))
+      ignore (Enumerate.simple_paths ~max_hops:0 g ~src:0 ~dst:1));
+  check_invalid "paths_from: bad max_hops" (fun () ->
+      ignore (Enumerate.paths_from ~max_hops:0 g ~src:0));
+  check_invalid "paths_from: bad node" (fun () ->
+      ignore (Enumerate.paths_from g ~src:4));
+  (* a one-node graph clamps the bound to 0 hops: an empty row *)
+  let one = Graph.create ~nodes:1 [] in
+  Alcotest.(check int) "one node: empty row" 0
+    (List.length (Enumerate.paths_from one ~src:0).(0));
+  Alcotest.(check int) "one node, max_hops 3: empty row" 0
+    (List.length (Enumerate.paths_from ~max_hops:3 one ~src:0).(0))
 
 let test_enumerate_census_nsfnet () =
   let g = Nsfnet.graph () in
@@ -415,6 +425,64 @@ let test_route_table_disconnected () =
   Alcotest.(check int) "no alternates" 0
     (List.length (Route_table.alternates t ~src:0 ~dst:2))
 
+(* entry-wise link-id equality, which [Route_table.equal] deliberately
+   ignores: the same primary and alternates, link id for link id *)
+let same_link_ids a b =
+  let n = Graph.node_count (Route_table.graph a) in
+  let ids t ~src ~dst =
+    if src = dst || not (Route_table.has_route t ~src ~dst) then []
+    else
+      List.map Path.link_ids
+        (Route_table.primary t ~src ~dst :: Route_table.alternates t ~src ~dst)
+  in
+  List.for_all
+    (fun src ->
+      List.for_all (fun dst -> ids a ~src ~dst = ids b ~src ~dst) (List.init n Fun.id))
+    (List.init n Fun.id)
+
+(* degenerate topologies — a single node, single edges, double hops,
+   isolated nodes — with the number of ordered pairs each should route *)
+let degenerate_fixtures () =
+  let link id src dst = Link.make ~id ~src ~dst ~capacity:1 in
+  [ ("single node", Graph.create ~nodes:1 [], 0);
+    ("single directed edge", Graph.create ~nodes:2 [ link 0 0 1 ], 1);
+    ("bidirectional edge", Graph.of_edges ~nodes:2 ~capacity:1 [ (0, 1) ], 2);
+    ("double hop", Graph.create ~nodes:3 [ link 0 0 1; link 1 1 2 ], 3);
+    ( "double bidirectional hop",
+      Graph.of_edges ~nodes:3 ~capacity:1 [ (0, 1); (1, 2) ],
+      6 );
+    ("isolated nodes", Graph.of_edges ~nodes:5 ~capacity:1 [ (1, 3) ], 2) ]
+
+let test_route_table_degenerate () =
+  List.iter
+    (fun (name, g, routed) ->
+      List.iter
+        (fun h ->
+          let label =
+            Printf.sprintf "%s, h %s" name
+              (Option.fold ~none:"default" ~some:string_of_int h)
+          in
+          let reference = Route_table.build_reference ?h g in
+          List.iter
+            (fun (what, t) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s = build_reference" label what)
+                true
+                (Route_table.equal reference t && same_link_ids reference t))
+            [ ("build", Route_table.build ?h g);
+              ("build ~domains:2", Route_table.build ~domains:2 ?h g) ];
+          let n = Graph.node_count g in
+          let count = ref 0 in
+          for src = 0 to n - 1 do
+            for dst = 0 to n - 1 do
+              if src <> dst && Route_table.has_route reference ~src ~dst then
+                incr count
+            done
+          done;
+          Alcotest.(check int) (label ^ ": routed pairs") routed !count)
+        [ None; Some 1; Some 3 ])
+    (degenerate_fixtures ())
+
 let test_route_table_stats () =
   let g = Nsfnet.graph () in
   let t = Route_table.build g in
@@ -598,15 +666,22 @@ let prop_paths_from_row =
           && List.map Path.link_ids row.(dst) = List.map Path.link_ids expect)
         (List.init n (fun i -> i)))
 
+(* h runs up to n, so h >= n - 1 (every reachable pair has a candidate)
+   is always in range; link ids are compared too, since the build takes
+   them from the DFS stack and the reference from Graph.find_link *)
 let prop_build_matches_reference =
   QCheck2.Test.make ~count:60
     ~name:"memoized build = per-pair reference build (and under domains)"
-    QCheck2.Gen.(pair graph_gen (int_range 1 5))
+    QCheck2.Gen.(
+      let* (n, _) as graph = graph_gen in
+      let* h = int_range 1 n in
+      return (graph, h))
     (fun ((n, edges), h) ->
       let g = Graph.of_edges ~nodes:n ~capacity:1 edges in
       let reference = Route_table.build_reference ~h g in
-      Route_table.equal reference (Route_table.build ~h g)
-      && Route_table.equal reference (Route_table.build ~domains:3 ~h g))
+      List.for_all
+        (fun t -> Route_table.equal reference t && same_link_ids reference t)
+        [ Route_table.build ~h g; Route_table.build ~domains:3 ~h g ])
 
 (* random meshes up to 8 nodes, as the issue asks: spanning path plus
    random chords, so removals can disconnect pairs *)
@@ -723,6 +798,12 @@ let test_patch_validation () =
         (Route_table.patch (Route_table.protected g)
            [ Route_table.Remove_link { src = 0; dst = 1 } ]))
 
+(* the link ids of a node sequence, looked up hop by hop *)
+let rec found_link_ids g = function
+  | a :: (b :: _ as rest) ->
+    (Graph.find_link_exn g ~src:a ~dst:b).Link.id :: found_link_ids g rest
+  | _ -> []
+
 let prop_bfs_is_shortest =
   QCheck2.Test.make ~count:80 ~name:"bfs path length equals distance"
     graph_gen (fun (n, edges) ->
@@ -733,7 +814,8 @@ let prop_bfs_is_shortest =
           dst = 0
           ||
           match Bfs.min_hop_path g ~src:0 ~dst with
-          | Some p -> Path.hops p = d.(dst)
+          | Some p ->
+            Path.hops p = d.(dst) && Path.link_ids p = found_link_ids g (Path.nodes p)
           | None -> d.(dst) = max_int)
         (List.init n (fun i -> i)))
 
@@ -785,6 +867,8 @@ let () =
           Alcotest.test_case "custom primary" `Quick
             test_route_table_custom_primary;
           Alcotest.test_case "disconnected" `Quick test_route_table_disconnected;
+          Alcotest.test_case "degenerate topologies" `Quick
+            test_route_table_degenerate;
           Alcotest.test_case "nsfnet stats" `Quick test_route_table_stats;
           Alcotest.test_case "alternate attempt order golden" `Quick
             test_alternate_attempt_order_golden;
