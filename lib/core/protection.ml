@@ -21,12 +21,14 @@ let level ~offered ~capacity ~h =
   in
   search 0
 
+let link_level ~offered ~capacity ~h =
+  if offered <= 0. || capacity = 0 then 0 else level ~offered ~capacity ~h
+
 let levels_of_loads ~capacities ~loads ~h =
   if Array.length capacities <> Array.length loads then
     invalid_arg "Protection.levels_of_loads: length mismatch";
   Array.mapi
-    (fun k c ->
-      if loads.(k) <= 0. then 0 else level ~offered:loads.(k) ~capacity:c ~h)
+    (fun k c -> link_level ~offered:loads.(k) ~capacity:c ~h)
     capacities
 
 let levels routes matrix ~h =
@@ -68,9 +70,7 @@ let levels_per_link_h routes matrix =
   in
   let hs = per_link_h routes in
   Array.mapi
-    (fun k c ->
-      if loads.(k) <= 0. then 0
-      else level ~offered:loads.(k) ~capacity:c ~h:hs.(k))
+    (fun k c -> link_level ~offered:loads.(k) ~capacity:c ~h:hs.(k))
     capacities
 
 let path_guarantee ~capacities ~loads ~reserves ~link_ids =

@@ -28,9 +28,13 @@ val bound : offered:float -> capacity:int -> reserve:int -> float
     B(offered, capacity - reserve)] on expected primary losses per
     accepted alternate call. *)
 
+val link_level : offered:float -> capacity:int -> h:int -> int
+(** The level of one link of a network: 0 when [offered <= 0] (no
+    primary traffic worth protecting) or [capacity = 0] (the link admits
+    no call, so it has no state to protect), else {!level}. *)
+
 val levels_of_loads : capacities:int array -> loads:float array -> h:int -> int array
-(** Per-link levels; a link with zero (or negative) estimated load gets
-    level 0 — it carries no primary traffic worth protecting. *)
+(** {!link_level} of every link. *)
 
 val levels : Route_table.t -> Matrix.t -> h:int -> int array
 (** Levels for every link of the route table's graph, with [Lambda]

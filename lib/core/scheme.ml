@@ -74,8 +74,7 @@ let controlled_length_aware ?(choice = Controller.Table) ~matrix routes =
       (fun k c ->
         Array.init max_h (fun i ->
             let l = i + 1 in
-            if loads.(k) <= 0. then c
-            else c - Protection.level ~offered:loads.(k) ~capacity:c ~h:l))
+            c - Protection.link_level ~offered:loads.(k) ~capacity:c ~h:l))
       capacities
   in
   let decide ~occupancy ~call =
@@ -144,8 +143,7 @@ let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
         (fun k e ->
           let offered = Estimator.estimate e ~now in
           reserves.(k) <-
-            (if offered <= 0. then 0
-             else Protection.level ~offered ~capacity:capacities.(k) ~h))
+            Protection.link_level ~offered ~capacity:capacities.(k) ~h)
         estimators;
       admission := Admission.make ~capacities ~reserves;
       next_refresh := !next_refresh +. refresh
@@ -171,7 +169,8 @@ let ott_krishnan ?(revenue = 1.) ?(reduced_load = false) ~matrix routes =
   let price_tables =
     Array.mapi
       (fun k c ->
-        if loads.(k) <= 0. then None
+        (* a zero-capacity link is always full, priced infinite below *)
+        if loads.(k) <= 0. || c = 0 then None
         else Some (Shadow_price.make ~offered:loads.(k) ~capacity:c))
       capacities
   in

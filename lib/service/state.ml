@@ -144,8 +144,7 @@ let do_reload t =
     (fun k e ->
       let offered = Estimator.estimate e ~now:t.clock in
       let level =
-        if offered <= 0. then 0
-        else Protection.level ~offered ~capacity:t.capacities.(k) ~h:t.h
+        Protection.link_level ~offered ~capacity:t.capacities.(k) ~h:t.h
       in
       if level <> t.reserves.(k) then begin
         incr changed;

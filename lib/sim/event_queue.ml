@@ -1,84 +1,79 @@
-(* Structure-of-arrays binary heap: a parallel unboxed [float array] of
-   times and an [Obj.t array] of payloads.  Compared to a heap of boxed
-   [(float * 'a)] tuples this eliminates two minor-heap allocations per
-   push and keeps sift comparisons reading a flat float array (better
-   cache locality, no pointer chase per comparison).
+(* Slot-indexed binary heap.  [times] and [slots] are in heap order and
+   [data] is indexed by slot: a payload is stored once on push and nulled
+   once on pop, so each event costs two write barriers and sifting moves
+   only unboxed floats and ints.  Free slots sit past the heap, in
+   [slots.(size) .. slots.(hwm - 1)]: a pop parks the root's slot in the
+   vacated last position, and a push reuses [slots.(size)] or takes the
+   fresh slot [hwm].  Sifts move a hole but keep the swap heap's
+   comparisons (strict [<], the left child on a tie), so every pop, ties
+   included, returns what a swap heap would.
 
-   The payload array is untyped ([Obj.t]) for one reason only: vacated
-   slots must be overwritten with a dummy so a popped payload is not
-   kept reachable by the queue (the [()] immediate serves as the null).
-   The [Obj] use is confined to this module; the interface stays a
-   plain ['a t].
-
-   Hot-path discipline (no flambda): a [float] argument crosses a
-   function boundary boxed, so the allocation-free entry points
-   ([push_at], [next_due]) take a [float array] and an index and read
-   the time inside the callee.  Tie-breaking and sift order are
-   bit-identical to the previous tuple heap. *)
+   [data] is [Obj.t] so a freed slot can hold a null (the [()]
+   immediate).  Without flambda a [float] argument crosses a call boxed,
+   so [push_at] and [next_due] take a [float array] and an index, and the
+   sifts read times into locals. *)
 
 type 'a t = {
   mutable times : float array;
-  mutable data : Obj.t array;  (* parallel to [times]; >= size slots are nil *)
+  mutable slots : int array;
+  mutable data : Obj.t array;
   mutable size : int;
+  mutable hwm : int;  (* slots ever handed out since the last [clear] *)
 }
 
 let nil = Obj.repr ()
 
-let create () = { times = [||]; data = [||]; size = 0 }
+let create () = { times = [||]; slots = [||]; data = [||]; size = 0; hwm = 0 }
 let length h = h.size
 let is_empty h = h.size = 0
 
 let clear h =
-  Array.fill h.data 0 h.size nil;
-  h.size <- 0
+  Array.fill h.data 0 h.hwm nil;
+  h.size <- 0;
+  h.hwm <- 0
 
-let swap h i j =
-  let t = h.times.(i) in
-  h.times.(i) <- h.times.(j);
-  h.times.(j) <- t;
-  let d = h.data.(i) in
-  h.data.(i) <- h.data.(j);
-  h.data.(j) <- d
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.times.(i) < h.times.(parent) then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < h.size && h.times.(l) < h.times.(i) then l else i in
-  let smallest =
-    if r < h.size && h.times.(r) < h.times.(smallest) then r else smallest
-  in
-  if smallest <> i then begin
-    swap h i smallest;
-    sift_down h smallest
-  end
-
+(* [size <= hwm <= capacity]: a fresh slot is taken only when [size =
+   hwm], so growing when [size] reaches capacity covers all three arrays *)
 let ensure_capacity h =
   if h.size = Array.length h.times then begin
     let cap = Stdlib.max 16 (2 * h.size) in
-    let times = Array.make cap 0. in
-    let data = Array.make cap nil in
-    Array.blit h.times 0 times 0 h.size;
-    Array.blit h.data 0 data 0 h.size;
-    h.times <- times;
-    h.data <- data
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 h.size;
+      b
+    in
+    h.times <- grow h.times 0.;
+    h.slots <- grow h.slots 0;
+    h.data <- grow h.data nil
   end
+
+(* inserts [x] with the time the caller stored at [times.(size)] *)
+let insert h x =
+  let times = h.times and slots = h.slots in
+  let n = h.size in
+  let t = times.(n) in
+  let s = if n < h.hwm then slots.(n) else n in
+  if n = h.hwm then h.hwm <- n + 1;
+  h.data.(s) <- Obj.repr x;
+  h.size <- n + 1;
+  let i = ref n and sifting = ref true in
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if t < times.(p) then begin
+      times.(!i) <- times.(p);
+      slots.(!i) <- slots.(p);
+      i := p
+    end
+    else sifting := false
+  done;
+  times.(!i) <- t;
+  slots.(!i) <- s
 
 let push h ~time x =
   if not (Float.is_finite time) then invalid_arg "Event_queue.push: bad time";
   ensure_capacity h;
-  let i = h.size in
-  h.times.(i) <- time;
-  h.data.(i) <- Obj.repr x;
-  h.size <- i + 1;
-  sift_up h i
+  h.times.(h.size) <- time;
+  insert h x
 
 let push_at h ~times i x =
   let time = times.(i) in
@@ -86,11 +81,8 @@ let push_at h ~times i x =
      never passed (boxed) to a predicate *)
   if not (time -. time = 0.) then invalid_arg "Event_queue.push_at: bad time";
   ensure_capacity h;
-  let j = h.size in
-  h.times.(j) <- time;
-  h.data.(j) <- Obj.repr x;
-  h.size <- j + 1;
-  sift_up h j
+  h.times.(h.size) <- time;
+  insert h x
 
 let peek_time h = if h.size = 0 then None else Some h.times.(0)
 
@@ -98,33 +90,40 @@ let next_due h ~deadlines i = h.size > 0 && h.times.(0) <= deadlines.(i)
 
 let pop_payload h =
   if h.size = 0 then invalid_arg "Event_queue.pop_payload: empty queue";
-  let x = h.data.(0) in
+  let times = h.times and slots = h.slots in
+  let root = slots.(0) in
+  let x = h.data.(root) in
+  h.data.(root) <- nil;
   let n = h.size - 1 in
   h.size <- n;
-  if n > 0 then begin
-    h.times.(0) <- h.times.(n);
-    h.data.(0) <- h.data.(n);
-    h.data.(n) <- nil;
-    sift_down h 0
-  end
-  else h.data.(0) <- nil;
+  let t = times.(n) and s = slots.(n) in
+  slots.(n) <- root;
+  (* [Bool.to_int] keeps the child choice branch-free (a branch would
+     mispredict at half the levels).  A lone left child needs no test:
+     [times.(n)] still holds [t], so choosing [n] means [t] fits here. *)
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l < n then l + Bool.to_int (times.(l + 1) < times.(l)) else l in
+    if c < n && times.(c) < t then begin
+      times.(!i) <- times.(c);
+      slots.(!i) <- slots.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  times.(!i) <- t;
+  slots.(!i) <- s;
   Obj.obj x
 
 let pop h =
   if h.size = 0 then None
-  else begin
+  else
     let t = h.times.(0) in
-    let x = pop_payload h in
-    Some (t, x)
-  end
+    Some (t, pop_payload h)
 
 let pop_until h ~time ~f =
-  let continue = ref true in
-  while !continue do
-    if h.size > 0 && h.times.(0) <= time then begin
-      let t = h.times.(0) in
-      let x = pop_payload h in
-      f t x
-    end
-    else continue := false
+  while h.size > 0 && h.times.(0) <= time do
+    let t = h.times.(0) in
+    f t (pop_payload h)
   done

@@ -4,11 +4,14 @@
     pre-sorted from the {!Trace}.  Pops are in nondecreasing time order;
     ties pop in unspecified (but deterministic) order.
 
-    Internally a structure-of-arrays heap: an unboxed [float array] of
-    times parallel to a payload array, so pushes allocate nothing and
-    sift comparisons scan a flat float array.  A popped (or cleared)
-    slot is nulled out — the queue never keeps a departed payload
-    reachable.
+    Internally a slot-indexed heap: an unboxed [float array] of times
+    and an [int array] of slot numbers in heap order, and a payload
+    array indexed by slot.  A payload is stored in its slot on push and
+    stays put until it is popped, so sifting moves only floats and ints,
+    pushes allocate nothing, and each event costs exactly two write
+    barriers (the store on push, the null on pop) however deep it
+    sifts.  A pop nulls its payload's slot and {!clear} nulls every
+    queued one — the queue never keeps a departed payload reachable.
 
     The [*_at]/[next_due] entry points exist because, without flambda,
     a [float] argument crosses a function boundary boxed: they take a

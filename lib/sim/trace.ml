@@ -43,8 +43,10 @@ let pack ~duration ~matrix calls =
   { calls; times; srcs; dsts; holdings; us; ends; duration; matrix }
 
 let generate ?(mean_holding = 1.) ~rng ~duration matrix =
-  if duration <= 0. then invalid_arg "Trace.generate: duration <= 0";
-  if mean_holding <= 0. then invalid_arg "Trace.generate: mean_holding <= 0";
+  if duration <= 0. || not (Float.is_finite duration) then
+    invalid_arg "Trace.generate: duration not positive and finite";
+  if mean_holding <= 0. || not (Float.is_finite mean_holding) then
+    invalid_arg "Trace.generate: mean_holding not positive and finite";
   let total = Matrix.total matrix in
   if total <= 0. then invalid_arg "Trace.generate: empty traffic matrix";
   (* cumulative demand over positive pairs, for inverse-cdf pair choice *)
@@ -125,7 +127,8 @@ let generate ?(mean_holding = 1.) ~rng ~duration matrix =
   { calls; times; srcs; dsts; holdings; us; ends; duration; matrix }
 
 let of_calls ~matrix ~duration calls =
-  if duration <= 0. then invalid_arg "Trace.of_calls: duration <= 0";
+  if duration <= 0. || not (Float.is_finite duration) then
+    invalid_arg "Trace.of_calls: duration not positive and finite";
   let n = Matrix.nodes matrix in
   let check prev c =
     if c.time < prev then invalid_arg "Trace.of_calls: calls not sorted";

@@ -43,15 +43,15 @@ val generate :
     [duration] time units.  Pairs arrive with rate [T(i,j)]
     (unit-mean holding times by default, so demand in Erlangs equals
     arrival rate).
-    @raise Invalid_argument when the matrix has no positive demand,
-    [duration <= 0], or [mean_holding <= 0]. *)
+    @raise Invalid_argument when the matrix has no positive demand, or
+    [duration] or [mean_holding] is not positive and finite. *)
 
 val of_calls : matrix:Matrix.t -> duration:float -> call list -> t
 (** Build a trace from explicit calls — deterministic workloads for
     tests and replaying externally captured arrival logs.  Calls must be
-    sorted by time, lie in [\[0, duration)], have positive holding times,
-    [u] in [\[0, 1)] and valid distinct endpoints for the matrix's node
-    count.
+    sorted by time, lie in [\[0, duration)] for a positive finite
+    [duration], have positive holding times, [u] in [\[0, 1)] and valid
+    distinct endpoints for the matrix's node count.
     @raise Invalid_argument otherwise. *)
 
 val shift : t -> float -> t

@@ -427,6 +427,48 @@ let test_scheme_length_aware () =
     done
   done
 
+(* degenerate topologies, the simulate stage: every scheme replays a
+   trace over each fixture, conserving calls and raising nothing.  On
+   the zero-capacity link 0 -> 1 primary load is positive, which once
+   reached Protection.level and Shadow_price.make with capacity 0. *)
+let test_scheme_degenerate_topologies () =
+  let link id src dst capacity = Link.make ~id ~src ~dst ~capacity in
+  let fixtures =
+    [ ("single edge", Graph.create ~nodes:2 [ link 0 0 1 2 ]);
+      ("bidirectional edge", Graph.of_edges ~nodes:2 ~capacity:2 [ (0, 1) ]);
+      ("double hop", Graph.create ~nodes:3 [ link 0 0 1 2; link 1 1 2 2 ]);
+      ("isolated node", Graph.of_edges ~nodes:3 ~capacity:2 [ (0, 1) ]);
+      ("no links", Graph.create ~nodes:3 []);
+      ( "zero-capacity link",
+        Graph.create ~nodes:3
+          [ link 0 0 1 0; link 1 1 0 2; link 2 0 2 2; link 3 2 0 2;
+            link 4 1 2 2; link 5 2 1 2 ] ) ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let routes = Route_table.build g in
+      let matrix = Matrix.uniform ~nodes:(Graph.node_count g) ~demand:1.5 in
+      let trace =
+        Trace.generate ~rng:(Rng.create ~seed:4) ~duration:40. matrix
+      in
+      List.iter
+        (fun policy ->
+          let s = Engine.run ~warmup:5. ~graph:g ~policy trace in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: calls conserved" name
+               (Scheme.name_of policy))
+            true
+            (s.Stats.offered > 0
+            && s.Stats.offered
+               = s.Stats.blocked + s.Stats.carried_primary
+                 + s.Stats.carried_alternate))
+        [ Scheme.single_path routes;
+          Scheme.uncontrolled routes;
+          Scheme.controlled_auto ~matrix routes;
+          Scheme.ott_krishnan ~matrix routes;
+          Scheme.least_busy routes ])
+    fixtures
+
 let test_scheme_least_busy () =
   let g = Builders.full_mesh ~nodes:4 ~capacity:4 in
   let routes = Route_table.build g in
@@ -716,7 +758,9 @@ let () =
           Alcotest.test_case "ott-krishnan reduced" `Quick
             test_scheme_ott_krishnan_reduced;
           Alcotest.test_case "least-busy" `Quick test_scheme_least_busy;
-          Alcotest.test_case "length-aware" `Quick test_scheme_length_aware ] );
+          Alcotest.test_case "length-aware" `Quick test_scheme_length_aware;
+          Alcotest.test_case "degenerate topologies" `Quick
+            test_scheme_degenerate_topologies ] );
       ( "approximation",
         [ Alcotest.test_case "single link = Erlang" `Quick
             test_approx_single_link_is_erlang;

@@ -682,6 +682,31 @@ let test_reload_every_cadence () =
   (* 25 decisions at a 10-decision cadence: reloads at 10 and 20 *)
   Alcotest.(check int) "automatic reloads" 2 (State.stats st).Wire.reloads
 
+(* a zero-capacity link added live draws primary load (2 -> 0 is now
+   one hop) but admits nothing; RELOAD must leave it unprotected rather
+   than raise out of Protection.level *)
+let test_reload_zero_capacity_link () =
+  let _, matrix = Arnet_experiments.Internet.nominal () in
+  let st = State.create ~matrix (Nsfnet.graph ()) in
+  let send line = fst (Session.handle_line st line) in
+  let expect what ok r =
+    if not (ok r) then Alcotest.failf "%s: %s" what (Wire.print_response r)
+  in
+  expect "link add" (function Wire.Patched _ -> true | _ -> false)
+    (send "LINK ADD 2 0 0");
+  for i = 0 to 39 do
+    let t = 1. +. (0.5 *. float_of_int i) in
+    match send (Printf.sprintf "SETUP 2 0 %g" t) with
+    | Wire.Admitted { id; _ } ->
+      expect "teardown" (( = ) Wire.Done)
+        (send (Printf.sprintf "TEARDOWN %d" id))
+    | r -> expect "setup" (( = ) Wire.Blocked) r
+  done;
+  expect "reload" (function Wire.Reloaded _ -> true | _ -> false)
+    (send "RELOAD");
+  expect "stats" (function Wire.Stats_reply _ -> true | _ -> false)
+    (send "STATS")
+
 (* ------------------------------------------------------------------ *)
 (* snapshots *)
 
@@ -1683,7 +1708,9 @@ let () =
         [ Alcotest.test_case "tracks a load step" `Quick
             test_reload_tracks_load_step;
           Alcotest.test_case "reload-every cadence" `Quick
-            test_reload_every_cadence ] );
+            test_reload_every_cadence;
+          Alcotest.test_case "zero-capacity link added live" `Quick
+            test_reload_zero_capacity_link ] );
       ( "snapshot",
         [ Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "parse error" `Quick test_snapshot_parse_error ] );

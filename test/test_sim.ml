@@ -150,6 +150,115 @@ let prop_event_queue_model =
       done;
       !ok && !outstanding = [])
 
+(* Reference for the pop order, ties included: a plain binary heap that
+   swaps time and payload at every sift level, with the same
+   comparisons (strict [<], the left child on a tie). *)
+module Swap_heap = struct
+  type 'a t = {
+    mutable times : float array;
+    mutable data : 'a option array;
+    mutable size : int;
+  }
+
+  let create () = { times = [||]; data = [||]; size = 0 }
+
+  let swap h i j =
+    let t = h.times.(i) and d = h.data.(i) in
+    h.times.(i) <- h.times.(j);
+    h.data.(i) <- h.data.(j);
+    h.times.(j) <- t;
+    h.data.(j) <- d
+
+  let rec sift_up h i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && h.times.(i) < h.times.(parent) then begin
+      swap h i parent;
+      sift_up h parent
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let s = if l < h.size && h.times.(l) < h.times.(i) then l else i in
+    let s = if r < h.size && h.times.(r) < h.times.(s) then r else s in
+    if s <> i then begin
+      swap h i s;
+      sift_down h s
+    end
+
+  let push h time x =
+    if h.size = Array.length h.times then begin
+      h.times <- Array.append h.times (Array.make (h.size + 1) 0.);
+      h.data <- Array.append h.data (Array.make (h.size + 1) None)
+    end;
+    h.times.(h.size) <- time;
+    h.data.(h.size) <- Some x;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    let t = h.times.(0) and x = Option.get h.data.(0) in
+    h.size <- h.size - 1;
+    swap h 0 h.size;
+    sift_down h 0;
+    (t, x)
+end
+
+type eq_op = Push of int | Push_at of int | Pop | Pop_until of int | Clear
+
+(* Every mix of the entry points, with times from 8 values so ties are
+   everywhere, pops exactly the swap heap's (time, payload) sequence. *)
+let prop_event_queue_swap_heap_order =
+  QCheck2.Test.make ~count:500
+    ~name:"pop order, ties included, equals the swap heap's"
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (frequency
+           [ (4, map (fun t -> Push t) (int_range 0 7));
+             (4, map (fun t -> Push_at t) (int_range 0 7));
+             (5, pure Pop);
+             (1, map (fun t -> Pop_until t) (int_range 0 7));
+             (1, pure Clear) ]))
+    (fun ops ->
+      let q = Event_queue.create () and r = Swap_heap.create () in
+      let got = ref [] and want = ref [] and id = ref 0 in
+      let push_both time push =
+        incr id;
+        push !id;
+        Swap_heap.push r time !id
+      in
+      let pop_ref () = want := Swap_heap.pop r :: !want in
+      List.iter
+        (function
+          | Push t ->
+            let time = float_of_int t in
+            push_both time (Event_queue.push q ~time)
+          | Push_at t ->
+            let times = [| float_of_int t |] in
+            push_both times.(0) (Event_queue.push_at q ~times 0)
+          | Pop ->
+            if not (Event_queue.is_empty q) then begin
+              let time = Option.get (Event_queue.peek_time q) in
+              got := (time, Event_queue.pop_payload q) :: !got
+            end;
+            if r.Swap_heap.size > 0 then pop_ref ()
+          | Pop_until t ->
+            let time = float_of_int t in
+            Event_queue.pop_until q ~time ~f:(fun t x -> got := (t, x) :: !got);
+            while r.Swap_heap.size > 0 && r.Swap_heap.times.(0) <= time do
+              pop_ref ()
+            done
+          | Clear ->
+            Event_queue.clear q;
+            r.Swap_heap.size <- 0)
+        ops;
+      while not (Event_queue.is_empty q) do
+        got := Option.get (Event_queue.pop q) :: !got
+      done;
+      while r.Swap_heap.size > 0 do
+        pop_ref ()
+      done;
+      !got = !want)
+
 let test_event_queue_pop_until_boundary () =
   let q = Event_queue.create () in
   List.iter (fun t -> Event_queue.push q ~time:t t) [ 1.; 2.; 2.; 3. ];
@@ -197,6 +306,8 @@ let test_event_queue_indexed_api () =
 let[@inline never] pop_and_discard q =
   match Event_queue.pop q with Some _ -> () | None -> ()
 
+let[@inline never] pop_id q = (Event_queue.pop_payload q).(0)
+
 let test_event_queue_payload_release () =
   let q = Event_queue.create () in
   let weak = Weak.create 3 in
@@ -219,7 +330,48 @@ let test_event_queue_payload_release () =
   Event_queue.clear q;
   Gc.full_major ();
   Alcotest.(check bool) "cleared payloads released" true
-    (Weak.get weak 1 = None && Weak.get weak 2 = None)
+    (Weak.get weak 1 = None && Weak.get weak 2 = None);
+  (* recycled slots: grow past the initial capacity with pops
+     interleaved, so pushes reuse the slots pops parked, then clear and
+     refill.  Exactly the queued payloads stay reachable throughout. *)
+  let n = 120 in
+  let weak = Weak.create n and popped = Array.make n false in
+  let pushed = ref 0 in
+  let check_reachable what =
+    Gc.full_major ();
+    for i = 0 to !pushed - 1 do
+      if Weak.check weak i = popped.(i) then
+        Alcotest.failf "%s: payload %d %s" what i
+          (if popped.(i) then "still reachable" else "lost")
+    done
+  in
+  let fill ~first ~last =
+    for i = first to last do
+      let payload = Array.make 4 i in
+      Weak.set weak i (Some payload);
+      Event_queue.push q ~time:(float_of_int ((i * 37) mod 23)) payload;
+      pushed := i + 1;
+      if i mod 3 = 2 then popped.(pop_id q) <- true
+    done
+  in
+  fill ~first:0 ~last:59;
+  check_reachable "grown";
+  Alcotest.(check int) "queued" 40 (Event_queue.length q);
+  Event_queue.clear q;
+  for i = 0 to 59 do
+    popped.(i) <- true
+  done;
+  check_reachable "cleared";
+  fill ~first:60 ~last:(n - 1);
+  check_reachable "refilled";
+  let last = ref neg_infinity in
+  while not (Event_queue.is_empty q) do
+    let t = Option.get (Event_queue.peek_time q) in
+    Alcotest.(check bool) "refill pops in order" true (t >= !last);
+    last := t;
+    popped.(pop_id q) <- true
+  done;
+  check_reachable "drained"
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
@@ -273,9 +425,18 @@ let test_trace_validation () =
   let rng = Rng.create ~seed:1 in
   check_invalid "empty matrix" (fun () ->
       ignore (Trace.generate ~rng ~duration:10. (Matrix.zero ~nodes:3)));
+  let matrix = Matrix.uniform ~nodes:3 ~demand:1. in
   check_invalid "bad duration" (fun () ->
-      ignore
-        (Trace.generate ~rng ~duration:0. (Matrix.uniform ~nodes:3 ~demand:1.)))
+      ignore (Trace.generate ~rng ~duration:0. matrix));
+  (* nan first: at infinity an unchecked generator never returns *)
+  List.iter
+    (fun x ->
+      let what = Printf.sprintf "%g" x in
+      check_invalid ("duration " ^ what) (fun () ->
+          ignore (Trace.generate ~rng ~duration:x matrix));
+      check_invalid ("mean_holding " ^ what) (fun () ->
+          ignore (Trace.generate ~mean_holding:x ~rng ~duration:10. matrix)))
+    [ Float.nan; infinity; neg_infinity ]
 
 let mk_call time src dst holding =
   { Trace.time; src; dst; holding; u = 0. }
@@ -295,7 +456,12 @@ let test_trace_of_calls () =
   check_invalid "outside duration" (fun () ->
       ignore (Trace.of_calls ~matrix ~duration:10. [ mk_call 11. 0 1 1. ]));
   check_invalid "self call" (fun () ->
-      ignore (Trace.of_calls ~matrix ~duration:10. [ mk_call 1. 1 1 1. ]))
+      ignore (Trace.of_calls ~matrix ~duration:10. [ mk_call 1. 1 1 1. ]));
+  List.iter
+    (fun duration ->
+      check_invalid (Printf.sprintf "duration %g" duration) (fun () ->
+          ignore (Trace.of_calls ~matrix ~duration [ mk_call 1. 0 1 1. ])))
+    [ Float.nan; infinity ]
 
 let test_trace_shift_merge () =
   let matrix = Matrix.uniform ~nodes:3 ~demand:1. in
@@ -611,7 +777,8 @@ let () =
           Alcotest.test_case "payload release" `Quick
             test_event_queue_payload_release;
           QCheck_alcotest.to_alcotest prop_event_queue_sorts;
-          QCheck_alcotest.to_alcotest prop_event_queue_model ] );
+          QCheck_alcotest.to_alcotest prop_event_queue_model;
+          QCheck_alcotest.to_alcotest prop_event_queue_swap_heap_order ] );
       ( "trace",
         [ Alcotest.test_case "generation" `Quick test_trace_generation;
           Alcotest.test_case "pair frequencies" `Quick
