@@ -498,7 +498,7 @@ let storm () =
       ~duration:(0.8 *. span) ~mtbf:span ~mttr:(span /. 25.) g
   in
   Format.fprintf ppf "failure script: %d events over %.1f virtual tu@."
-    (Arnet_failure.Script.length script) (0.8 *. span);
+    (Arnet_sim.Script.length script) (0.8 *. span);
   let addr =
     Service.Server.Unix_sock
       (Filename.concat (Filename.get_temp_dir_name ())
@@ -521,7 +521,7 @@ let storm () =
   in
   (* the server thread is joined: the drained state is safe to read *)
   let stats = Service.State.stats state in
-  storm_result := Some (result, stats, Arnet_failure.Script.length script);
+  storm_result := Some (result, stats, Arnet_sim.Script.length script);
   Format.fprintf ppf "%a@." Service.Loadgen.print result;
   Format.fprintf ppf
     "storm      dropped %d in-flight, %d failovers, %d links still down@."

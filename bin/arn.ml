@@ -1426,7 +1426,7 @@ let serve_cmd =
     let failure_script =
       Option.map
         (fun path ->
-          match Arnet_failure.Script.of_file path with
+          match Arnet_sim.Script.of_file path with
           | Ok s -> s
           | Error msg ->
             Printf.eprintf "arn serve: %s\n" msg;

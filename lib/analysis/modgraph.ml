@@ -29,8 +29,8 @@ let mem t name = node t name <> None
    domain is still marked) and under-approximates in one known way:
    a closure built by module A, passed through module B, and only then
    handed to Arnet_pool.map is attributed to B, not A — the run
-   closures Failure_engine and Mr_engine hand to
-   Engine.replicate_grid are such a case.  Both directions are
+   closures Multirate_exp hands to Engine.replicate_grid are such a
+   case.  Both directions are
    documented in DESIGN.md; the allowlist absorbs the former, code
    review the latter. *)
 

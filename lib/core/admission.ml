@@ -1,6 +1,6 @@
 open Arnet_paths
 
-type t = { capacities : int array; reserves : int array }
+type t = { capacities : int array; reserves : int array; zeros : int array }
 
 let make ~capacities ~reserves =
   if Array.length capacities <> Array.length reserves then
@@ -10,7 +10,9 @@ let make ~capacities ~reserves =
       if r < 0 || r > capacities.(k) then
         invalid_arg "Admission.make: reserve out of range")
     reserves;
-  { capacities = Array.copy capacities; reserves = Array.copy reserves }
+  { capacities = Array.copy capacities;
+    reserves = Array.copy reserves;
+    zeros = Array.make (Array.length capacities) 0 }
 
 let unprotected ~capacities =
   make ~capacities ~reserves:(Array.make (Array.length capacities) 0)
@@ -23,28 +25,27 @@ let link_admits_primary t ~occupancy k = occupancy.(k) < t.capacities.(k)
 let link_admits_alternate t ~occupancy k =
   occupancy.(k) < t.capacities.(k) - t.reserves.(k)
 
-(* the per-path walks recurse with plain arguments instead of taking a
-   predicate closure: partially applying [link_admits_*] would allocate
-   a closure on every call, and these two run once per simulated call *)
-let rec primary_from caps occ ids i =
+(* the one path rule.  It recurses with plain arguments instead of
+   taking a predicate closure: partially applying a per-link test would
+   allocate a closure on every call, and this runs once per simulated
+   call *)
+let rec fits caps res occ b ids i =
   i >= Array.length ids
   || begin
        let k = Array.unsafe_get ids i in
-       occ.(k) < caps.(k) && primary_from caps occ ids (i + 1)
+       occ.(k) + b <= caps.(k) - res.(k) && fits caps res occ b ids (i + 1)
      end
 
-let rec alternate_from caps res occ ids i =
-  i >= Array.length ids
-  || begin
-       let k = Array.unsafe_get ids i in
-       occ.(k) < caps.(k) - res.(k) && alternate_from caps res occ ids (i + 1)
-     end
+let path_admits t ~occupancy ~bandwidth ~primary p =
+  fits t.capacities
+    (if primary then t.zeros else t.reserves)
+    occupancy bandwidth p.Path.link_ids 0
 
 let path_admits_primary t ~occupancy p =
-  primary_from t.capacities occupancy p.Path.link_ids 0
+  path_admits t ~occupancy ~bandwidth:1 ~primary:true p
 
 let path_admits_alternate t ~occupancy p =
-  alternate_from t.capacities t.reserves occupancy p.Path.link_ids 0
+  path_admits t ~occupancy ~bandwidth:1 ~primary:false p
 
 let alternate_refusal t ~occupancy p =
   let ids = p.Path.link_ids in

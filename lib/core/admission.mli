@@ -23,8 +23,16 @@ val reserves : t -> int array
 val link_admits_primary : t -> occupancy:int array -> int -> bool
 val link_admits_alternate : t -> occupancy:int array -> int -> bool
 
+val path_admits :
+  t -> occupancy:int array -> bandwidth:int -> primary:bool -> Path.t -> bool
+(** The one path rule: a call of [bandwidth] units fits when every link
+    [k] of the path has [occupancy.(k) + bandwidth <= C_k - r_k], with
+    [r_k = 0] for a [primary] call.  Occupancy counts bandwidth units. *)
+
 val path_admits_primary : t -> occupancy:int array -> Path.t -> bool
 val path_admits_alternate : t -> occupancy:int array -> Path.t -> bool
+(** {!path_admits} at [bandwidth = 1], where the rule reads
+    [occupancy < C - r]. *)
 
 val alternate_refusal :
   t -> occupancy:int array -> Path.t -> (int * int * int) option

@@ -6,14 +6,14 @@ type primary_choice =
   | Table
   | Sampled of (src:int -> dst:int -> u:float -> Path.t option)
 
-let primary_for routes choice (call : Trace.call) =
-  let src = call.Trace.src and dst = call.Trace.dst in
+let primary_for routes choice (trace : Trace.t) i =
+  let src = trace.Trace.srcs.(i) and dst = trace.Trace.dsts.(i) in
   match choice with
   | Table ->
     if Route_table.has_route routes ~src ~dst then
       Some (Route_table.primary routes ~src ~dst)
     else None
-  | Sampled f -> f ~src ~dst ~u:call.Trace.u
+  | Sampled f -> f ~src ~dst ~u:trace.Trace.us.(i)
 
 (* ------------------------------------------------------------------ *)
 (* compiled decision tables: the allocation-free fast path for the
@@ -37,13 +37,13 @@ let unroutable =
     alt_paths = [||];
     alt_outcomes = [||] }
 
-let rec scan_alternates admission occupancy paths outcomes i =
+let rec scan_alternates admission occupancy bandwidth paths outcomes i =
   if i >= Array.length paths then Engine.Lost
   else if
-    Admission.path_admits_alternate admission ~occupancy
+    Admission.path_admits admission ~occupancy ~bandwidth ~primary:false
       (Array.unsafe_get paths i)
   then Array.unsafe_get outcomes i
-  else scan_alternates admission occupancy paths outcomes (i + 1)
+  else scan_alternates admission occupancy bandwidth paths outcomes (i + 1)
 
 let compile ?(domains = 1) ~name ~routes ~admission ~allow_alternates () =
   let n = Graph.node_count (Route_table.graph routes) in
@@ -69,44 +69,45 @@ let compile ?(domains = 1) ~name ~routes ~admission ~allow_alternates () =
   in
   let plans = Array.make (n * n) unroutable in
   List.iteri (fun src row -> Array.blit row 0 plans (src * n) n) rows;
-  let decide ~occupancy ~(call : Trace.call) =
-    let plan = plans.((call.Trace.src * n) + call.Trace.dst) in
+  let plan_of (trace : Trace.t) i =
+    plans.((trace.Trace.srcs.(i) * n) + trace.Trace.dsts.(i))
+  in
+  let decide ~occupancy (trace : Trace.t) i =
+    let plan = plan_of trace i in
     match plan.plan_primary with
     | None -> Engine.Lost
     | Some p ->
-      if Admission.path_admits_primary admission ~occupancy p then
-        plan.routed_primary
+      let bandwidth = trace.Trace.bandwidths.(trace.Trace.classes.(i)) in
+      if Admission.path_admits admission ~occupancy ~bandwidth ~primary:true p
+      then plan.routed_primary
       else if not allow_alternates then Engine.Lost
       else
-        scan_alternates admission occupancy plan.alt_paths plan.alt_outcomes 0
+        scan_alternates admission occupancy bandwidth plan.alt_paths
+          plan.alt_outcomes 0
   in
-  let is_primary ~(call : Trace.call) q =
-    match plans.((call.Trace.src * n) + call.Trace.dst).plan_primary with
-    | Some p -> q == p || Path.equal q p
-    | None -> false
-  in
-  { Engine.name; decide; is_primary }
+  let primary trace i = (plan_of trace i).plan_primary in
+  { Engine.name; decide; primary }
 
 let decide ?observer ~routes ~admission ~choice ~allow_alternates ~occupancy
-    (call : Trace.call) =
-  match primary_for routes choice call with
+    (trace : Trace.t) i =
+  match primary_for routes choice trace i with
   | None -> Engine.Lost
   | Some primary ->
+    let src = trace.Trace.srcs.(i) and dst = trace.Trace.dsts.(i) in
     let primary_ok = Admission.path_admits_primary admission ~occupancy primary in
     (match observer with
     | Some f ->
       f
         (Arnet_obs.Event.Primary_attempt
-           { time = call.Trace.time;
-             src = call.Trace.src;
-             dst = call.Trace.dst;
+           { time = trace.Trace.times.(i);
+             src;
+             dst;
              hops = Path.hops primary;
              admitted = primary_ok })
     | None -> ());
     if primary_ok then Engine.Routed primary
     else if not allow_alternates then Engine.Lost
     else begin
-      let src = call.Trace.src and dst = call.Trace.dst in
       let alternates =
         Route_table.alternates_excluding routes ~src ~dst primary
       in
@@ -128,7 +129,7 @@ let decide ?observer ~routes ~admission ~choice ~allow_alternates ~occupancy
             | Some (link, occ, threshold) ->
               f
                 (Arnet_obs.Event.Alternate_rejected
-                   { time = call.Trace.time;
+                   { time = trace.Trace.times.(i);
                      src;
                      dst;
                      hops = Path.hops p;

@@ -8,11 +8,6 @@ let capacities_of routes =
   let g = Route_table.graph routes in
   Array.map (fun (l : Link.t) -> l.capacity) (Graph.links g)
 
-let is_primary_checker routes choice ~call p =
-  match Controller.primary_for routes choice call with
-  | Some primary -> Path.equal p primary
-  | None -> false
-
 let two_tier ?observer ?domains ~name ~choice ~allow_alternates ~admission
     routes =
   match (observer, choice) with
@@ -23,10 +18,10 @@ let two_tier ?observer ?domains ~name ~choice ~allow_alternates ~admission
   | _ ->
     { Engine.name;
       decide =
-        (fun ~occupancy ~call ->
+        (fun ~occupancy trace i ->
           Controller.decide ?observer ~routes ~admission ~choice
-            ~allow_alternates ~occupancy call);
-      is_primary = is_primary_checker routes choice }
+            ~allow_alternates ~occupancy trace i);
+      primary = Controller.primary_for routes choice }
 
 let single_path ?(choice = Controller.Table) ?observer ?domains routes =
   let admission = Admission.unprotected ~capacities:(capacities_of routes) in
@@ -77,8 +72,8 @@ let controlled_length_aware ?(choice = Controller.Table) ~matrix routes =
             c - Protection.link_level ~offered:loads.(k) ~capacity:c ~h:l))
       capacities
   in
-  let decide ~occupancy ~call =
-    match Controller.primary_for routes choice call with
+  let decide ~occupancy trace i =
+    match Controller.primary_for routes choice trace i with
     | None -> Engine.Lost
     | Some primary ->
       let primary_fits =
@@ -88,7 +83,7 @@ let controlled_length_aware ?(choice = Controller.Table) ~matrix routes =
       in
       if primary_fits then Engine.Routed primary
       else begin
-        let src = call.Trace.src and dst = call.Trace.dst in
+        let src = trace.Trace.srcs.(i) and dst = trace.Trace.dsts.(i) in
         let admits p =
           let l = Path.hops p in
           l <= max_h
@@ -106,7 +101,7 @@ let controlled_length_aware ?(choice = Controller.Table) ~matrix routes =
   in
   { Engine.name = "controlled-length-aware";
     decide;
-    is_primary = is_primary_checker routes choice }
+    primary = Controller.primary_for routes choice }
 
 let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
     ?smoothing ?(refresh = 10.) ?initial_loads routes =
@@ -128,11 +123,11 @@ let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
   in
   let next_refresh = ref refresh in
   let admission = ref (Admission.make ~capacities ~reserves) in
-  let decide ~occupancy ~call =
-    let now = call.Trace.time in
+  let decide ~occupancy trace i =
+    let now = trace.Trace.times.(i) in
     (* every primary set-up packet is seen by every link on the primary
        path, whether or not the call completes *)
-    (match Controller.primary_for routes choice call with
+    (match Controller.primary_for routes choice trace i with
     | Some primary ->
       Array.iter
         (fun k -> Estimator.observe estimators.(k) ~now)
@@ -149,11 +144,11 @@ let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
       next_refresh := !next_refresh +. refresh
     end;
     Controller.decide ?observer ~routes ~admission:!admission ~choice
-      ~allow_alternates:true ~occupancy call
+      ~allow_alternates:true ~occupancy trace i
   in
   { Engine.name = "controlled-adaptive";
     decide;
-    is_primary = is_primary_checker routes choice }
+    primary = Controller.primary_for routes choice }
 
 let ott_krishnan ?(revenue = 1.) ?(reduced_load = false) ~matrix routes =
   if revenue <= 0. then invalid_arg "Scheme.ott_krishnan: revenue <= 0";
@@ -186,8 +181,8 @@ let ott_krishnan ?(revenue = 1.) ?(reduced_load = false) ~matrix routes =
       (fun acc k -> acc +. link_price ~occupancy k)
       0. p.Path.link_ids
   in
-  let decide ~occupancy ~call =
-    let src = call.Trace.src and dst = call.Trace.dst in
+  let decide ~occupancy (trace : Trace.t) i =
+    let src = trace.Trace.srcs.(i) and dst = trace.Trace.dsts.(i) in
     if not (Route_table.has_route routes ~src ~dst) then Engine.Lost
     else begin
       (* all_paths is sorted by length, so strict improvement keeps the
@@ -210,7 +205,7 @@ let ott_krishnan ?(revenue = 1.) ?(reduced_load = false) ~matrix routes =
   in
   { Engine.name = (if reduced_load then "ott-krishnan-reduced" else "ott-krishnan");
     decide;
-    is_primary = is_primary_checker routes Controller.Table }
+    primary = Controller.primary_for routes Controller.Table }
 
 let least_busy ?reserves routes =
   let capacities = capacities_of routes in
@@ -219,8 +214,8 @@ let least_busy ?reserves routes =
     | None -> Admission.unprotected ~capacities
     | Some reserves -> Admission.make ~capacities ~reserves
   in
-  let decide ~occupancy ~call =
-    let src = call.Trace.src and dst = call.Trace.dst in
+  let decide ~occupancy (trace : Trace.t) i =
+    let src = trace.Trace.srcs.(i) and dst = trace.Trace.dsts.(i) in
     if not (Route_table.has_route routes ~src ~dst) then Engine.Lost
     else begin
       let primary = Route_table.primary routes ~src ~dst in
@@ -251,6 +246,6 @@ let least_busy ?reserves routes =
   in
   { Engine.name = "least-busy";
     decide;
-    is_primary = is_primary_checker routes Controller.Table }
+    primary = Controller.primary_for routes Controller.Table }
 
 let name_of (p : Engine.policy) = p.Engine.name

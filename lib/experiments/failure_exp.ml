@@ -3,7 +3,6 @@ open Arnet_paths
 open Arnet_traffic
 open Arnet_sim
 open Arnet_core
-open Arnet_failure
 
 type cell = {
   scheme : string;
@@ -42,48 +41,39 @@ let run ?(rates = default_rates) ?(mttr = 5.) ~config () =
   (* reservation level x alternate tier: Theorem-1 reserves vs r = 0,
      over length-ordered alternates vs the Suurballe disjoint mate *)
   let policies () =
-    [ Fault_scheme.controlled ~reserves routes;
-      Fault_scheme.uncontrolled routes;
-      Fault_scheme.protected ~reserves:prot_reserves prot_routes;
-      Fault_scheme.two_tier ~name:"protected-r0"
+    [ Scheme.controlled ~reserves routes;
+      Scheme.uncontrolled routes;
+      Scheme.protected ~reserves:prot_reserves prot_routes;
+      Controller.compile ~name:"protected-r0" ~routes:prot_routes
         ~admission:
           (Admission.unprotected
              ~capacities:(Array.map (fun (l : Link.t) -> l.capacity)
                             (Graph.links graph)))
-        ~allow_alternates:true prot_routes ]
+        ~allow_alternates:true () ]
   in
   let point rate =
     let script ~seed =
       if rate = 0. then Script.empty
       else
-        Model.independent
+        Arnet_failure.Model.independent
           ~rng:(Rng.substream (Rng.create ~seed) "failure")
           ~duration ~mtbf:(1. /. rate) ~mttr graph
     in
     let by_policy =
-      Failure_engine.replicate_fresh ~warmup ~domains ~seeds ~duration ~graph
-        ~matrix ~script ~policies ()
+      Engine.replicate_fresh ~warmup ~domains ~script ~seeds ~duration ~graph
+        ~matrix ~policies ()
     in
-    let n = float_of_int (List.length seeds) in
+    let mean f runs =
+      float_of_int (List.fold_left (fun a r -> a + f r) 0 runs)
+      /. float_of_int (List.length seeds)
+    in
     let cells =
       List.map
         (fun (scheme, runs) ->
           { scheme;
-            blocking =
-              Stats.blocking_summary
-                (List.map (fun r -> r.Failure_engine.core) runs);
-            dropped =
-              float_of_int
-                (List.fold_left
-                   (fun a r -> a + r.Failure_engine.dropped)
-                   0 runs)
-              /. n;
-            failovers =
-              float_of_int
-                (List.fold_left
-                   (fun a r -> a + r.Failure_engine.failovers)
-                   0 runs)
-              /. n })
+            blocking = Stats.blocking_summary runs;
+            dropped = mean (fun r -> r.Stats.dropped) runs;
+            failovers = mean (fun r -> r.Stats.failovers) runs })
         by_policy
     in
     { rate; cells }

@@ -1,18 +1,19 @@
-(** Seeded stochastic failure models, compiled to {!Script}s.
+(** Seeded stochastic failure models, compiled to {!Arnet_sim.Script}s.
 
     Each generator draws from named {!Arnet_sim.Rng} substreams, so a
     scenario is a pure function of the master seed and its parameters:
     the same seed always yields the same script, and the script — not
     the process — is what the engine and the daemon replay.  That makes
     every failure experiment bit-reproducible and lets a surprising run
-    be saved ({!Script.to_file}) and replayed against the live daemon.
+    be saved ({!Arnet_sim.Script.to_file}) and replayed against the live daemon.
 
     Up- and down-times are exponential: a link (or group) stays up for
     [Exp(1/mtbf)], fails, stays down for [Exp(1/mttr)], repairs, and so
     on until the horizon.  An outage still open at the horizon emits no
     repair — by then the simulated workload has ended.
 
-    Repairs are literal script events and the replay engines apply them
+    Repairs are literal script events, and both the replay loop
+    ({!Arnet_sim.Engine.run} [~script]) and the daemon apply them
     unconditionally, so when two correlated outages overlap on a link
     the earlier repair ends both — a deliberate simplification that
     keeps replay stateless and deterministic. *)

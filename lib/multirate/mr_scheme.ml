@@ -1,6 +1,7 @@
 open Arnet_topology
 open Arnet_paths
 open Arnet_traffic
+open Arnet_core
 
 let bandwidth_loads routes workload =
   let g = Route_table.graph routes in
@@ -25,71 +26,19 @@ let capacities_of routes =
 let protection_levels routes workload ~h =
   let capacities = capacities_of routes in
   let loads = bandwidth_loads routes workload in
-  Arnet_core.Protection.levels_of_loads ~capacities ~loads ~h
+  Protection.levels_of_loads ~capacities ~loads ~h
 
-let path_fits ~capacities ~occupancy ~headroom p bandwidth =
-  let ids = p.Path.link_ids in
-  let n = Array.length ids in
-  let rec go i =
-    i >= n
-    ||
-    let k = ids.(i) in
-    occupancy.(k) + bandwidth <= capacities.(k) - headroom.(k) && go (i + 1)
-  in
-  go 0
+(* the compiled two-tier policy reads each call's bandwidth from the
+   trace, so the paper's schemes run multi-rate unchanged *)
+let renamed name (policy : Arnet_sim.Engine.policy) =
+  { policy with Arnet_sim.Engine.name }
 
-let make_policy ~name ~allow_alternates ~reserves routes workload =
-  let capacities = capacities_of routes in
-  let zero = Array.make (Array.length capacities) 0 in
-  let decide ~occupancy ~call =
-    let src = call.Mr_trace.src and dst = call.Mr_trace.dst in
-    if not (Route_table.has_route routes ~src ~dst) then Mr_engine.Lost
-    else begin
-      let bandwidth =
-        workload.Mr_trace.classes.(call.Mr_trace.class_index)
-          .Call_class.bandwidth
-      in
-      let primary = Route_table.primary routes ~src ~dst in
-      if path_fits ~capacities ~occupancy ~headroom:zero primary bandwidth
-      then Mr_engine.Routed primary
-      else if not allow_alternates then Mr_engine.Lost
-      else begin
-        let fits p =
-          path_fits ~capacities ~occupancy ~headroom:reserves p bandwidth
-        in
-        match
-          List.find_opt fits
-            (Route_table.alternates_excluding routes ~src ~dst primary)
-        with
-        | Some p -> Mr_engine.Routed p
-        | None -> Mr_engine.Lost
-      end
-    end
-  in
-  { Mr_engine.name; decide }
+let single_path routes = renamed "mr-single-path" (Scheme.single_path routes)
+let uncontrolled routes = renamed "mr-uncontrolled" (Scheme.uncontrolled routes)
 
-let single_path routes workload =
-  let reserves = Array.make (Array.length (capacities_of routes)) 0 in
-  make_policy ~name:"mr-single-path" ~allow_alternates:false ~reserves routes
-    workload
-
-let uncontrolled routes workload =
-  let reserves = Array.make (Array.length (capacities_of routes)) 0 in
-  make_policy ~name:"mr-uncontrolled" ~allow_alternates:true ~reserves routes
-    workload
-
-let controlled ~reserves routes workload =
-  let capacities = capacities_of routes in
-  if Array.length reserves <> Array.length capacities then
-    invalid_arg "Mr_scheme.controlled: reserves length mismatch";
-  Array.iteri
-    (fun k r ->
-      if r < 0 || r > capacities.(k) then
-        invalid_arg "Mr_scheme.controlled: reserve out of range")
-    reserves;
-  make_policy ~name:"mr-controlled" ~allow_alternates:true ~reserves routes
-    workload
+let controlled ~reserves routes =
+  renamed "mr-controlled" (Scheme.controlled ~reserves routes)
 
 let controlled_auto ?h routes workload =
   let h = match h with None -> Route_table.h routes | Some h -> h in
-  controlled ~reserves:(protection_levels routes workload ~h) routes workload
+  controlled ~reserves:(protection_levels routes workload ~h) routes

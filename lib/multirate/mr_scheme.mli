@@ -5,7 +5,9 @@
     class-[c] call while [occupancy + bandwidth_c <= C], and an
     *alternate-routed* one only while
     [occupancy + bandwidth_c <= C - r] — the protected band now counts
-    bandwidth units rather than calls.
+    bandwidth units rather than calls.  That is the rule every compiled
+    policy applies ({!Arnet_core.Controller.compile}), so the
+    constructors below are the paper's schemes under [mr-*] names.
 
     Protection levels come from the single-rate machinery applied to the
     link's offered *bandwidth* load (sum over classes of
@@ -24,14 +26,18 @@ val protection_levels :
   Route_table.t -> Mr_trace.workload -> h:int -> int array
 (** Section 3.1 levels on the bandwidth loads. *)
 
-val single_path :
-  Route_table.t -> Mr_trace.workload -> Mr_engine.policy
+val single_path : Route_table.t -> Arnet_sim.Engine.policy
+(** {!Arnet_core.Scheme.single_path} named ["mr-single-path"]. *)
 
-val uncontrolled :
-  Route_table.t -> Mr_trace.workload -> Mr_engine.policy
+val uncontrolled : Route_table.t -> Arnet_sim.Engine.policy
+(** {!Arnet_core.Scheme.uncontrolled} named ["mr-uncontrolled"]. *)
 
-val controlled :
-  reserves:int array -> Route_table.t -> Mr_trace.workload -> Mr_engine.policy
+val controlled : reserves:int array -> Route_table.t -> Arnet_sim.Engine.policy
+(** {!Arnet_core.Scheme.controlled} named ["mr-controlled"].
+    @raise Invalid_argument on a reserve array of the wrong length or a
+    reserve outside [0 .. capacity]. *)
 
 val controlled_auto :
-  ?h:int -> Route_table.t -> Mr_trace.workload -> Mr_engine.policy
+  ?h:int -> Route_table.t -> Mr_trace.workload -> Arnet_sim.Engine.policy
+(** {!controlled} at the {!protection_levels} of the workload, with [h]
+    defaulting to the route table's own alternate-length cap. *)

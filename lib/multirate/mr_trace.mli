@@ -1,6 +1,12 @@
-(** Multi-class replayable workloads. *)
+(** Multi-class replayable workloads.
+
+    A workload is a set of call classes, each offering its own demand
+    matrix.  Its traces are ordinary {!Arnet_sim.Trace.t}s whose class
+    column indexes the workload's classes, so they replay through
+    {!Arnet_sim.Engine.run} like any other trace. *)
 
 open Arnet_traffic
+open Arnet_sim
 
 type workload = private {
   classes : Call_class.t array;
@@ -15,32 +21,17 @@ val nodes : workload -> int
 val offered_bandwidth : workload -> float
 (** Total offered bandwidth load: [sum_c bandwidth_c * total demand_c]. *)
 
-type call = {
-  time : float;
-  src : int;
-  dst : int;
-  holding : float;
-  class_index : int;
-  u : float;
-}
+val of_calls : workload -> duration:float -> (int * Trace.call) list -> Trace.t
+(** A hand-built trace: each call tagged with its class index into the
+    workload.  The trace's matrix is the sum of the class demands.
+    @raise Invalid_argument as {!Arnet_sim.Trace.of_class_calls} does —
+    unsorted calls, a call outside [\[0, duration)], a bad holding time
+    or [u], bad or equal endpoints, or a class index outside the
+    workload. *)
 
-type t = private {
-  calls : call array;
-  times : float array;  (** [times.(i) = calls.(i).time] *)
-  ends : float array;  (** [ends.(i) = calls.(i).time + calls.(i).holding] *)
-}
-(** A replayable trace: the call records plus packed arrival/departure
-    columns, the same structure-of-arrays split as
-    {!Arnet_sim.Trace.t} — the engine's drain loop and departure pushes
-    read the float columns directly, so the per-call hot path never
-    boxes a time. *)
-
-val of_calls : call array -> t
-(** Wrap a hand-built call array (must be sorted by [time]), deriving
-    the packed columns.
-    @raise Invalid_argument when out of order. *)
-
-val generate : rng:Arnet_sim.Rng.t -> duration:float -> workload -> t
+val generate : rng:Rng.t -> duration:float -> workload -> Trace.t
 (** Superposed Poisson arrivals over classes and pairs, holding times
-    exponential with each class's mean; sorted by time.
-    @raise Invalid_argument when total demand is zero. *)
+    exponential with each class's mean, through
+    {!Arnet_sim.Trace.generate_classes}; sorted by time.
+    @raise Invalid_argument when total demand is zero or [duration] is
+    not positive and finite. *)

@@ -31,7 +31,7 @@ type t = {
   mutable finished : bool;
   reload_every : int option;
   mutable decisions : int;  (** setups that reached a verdict *)
-  script : Arnet_failure.Script.event array;
+  script : Arnet_sim.Script.event array;
       (** scripted FAIL/REPAIRs, applied as the virtual clock passes them *)
   mutable script_pos : int;
   est_window : float option;  (** remembered so LINK ADD can mint a
@@ -49,10 +49,10 @@ let create ?h ?matrix ?window ?smoothing ?reload_every ?failure_script
     match failure_script with
     | None -> [||]
     | Some s ->
-      if Arnet_failure.Script.max_link s >= Graph.link_count g then
+      if Arnet_sim.Script.max_link s >= Graph.link_count g then
         invalid_arg "State.create: failure script mentions a link outside \
                      the graph";
-      Arnet_failure.Script.to_array s
+      Arnet_sim.Script.to_array s
   in
   let routes = Route_table.build ?h g in
   let h = Route_table.h routes in
@@ -202,15 +202,15 @@ let apply_repair t ~link = t.failed.(link) <- false
 let run_script t =
   while
     t.script_pos < Array.length t.script
-    && t.script.(t.script_pos).Arnet_failure.Script.time <= t.clock
+    && t.script.(t.script_pos).Arnet_sim.Script.time <= t.clock
   do
     let e = t.script.(t.script_pos) in
     t.script_pos <- t.script_pos + 1;
-    match e.Arnet_failure.Script.action with
-    | Arnet_failure.Script.Fail ->
-      apply_fail t ~link:e.Arnet_failure.Script.link
-    | Arnet_failure.Script.Repair ->
-      apply_repair t ~link:e.Arnet_failure.Script.link
+    match e.Arnet_sim.Script.action with
+    | Arnet_sim.Script.Fail ->
+      apply_fail t ~link:e.Arnet_sim.Script.link
+    | Arnet_sim.Script.Repair ->
+      apply_repair t ~link:e.Arnet_sim.Script.link
   done
 
 (* ------------------------------------------------------------------ *)

@@ -32,7 +32,7 @@ val create :
   ?window:float ->
   ?smoothing:float ->
   ?reload_every:int ->
-  ?failure_script:Arnet_failure.Script.t ->
+  ?failure_script:Arnet_sim.Script.t ->
   ?observer:(Arnet_obs.Event.t -> unit) ->
   Graph.t ->
   t

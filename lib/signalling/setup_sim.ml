@@ -32,7 +32,7 @@ type setup = {
 }
 
 type event =
-  | Arrival of Trace.call
+  | Arrival of int  (* call index into the trace *)
   | Forward of setup * int  (* about to check link [i] of the path *)
   | Backward of setup * int  (* about to book link [i]; books run from
                                 the last link down to 0 *)
@@ -41,7 +41,7 @@ type event =
 
 let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
     ~allow_alternates trace =
-  let { Trace.calls; duration; matrix; _ } = trace in
+  let { Trace.times; srcs; dsts; holdings; duration; matrix; _ } = trace in
   if hop_latency < 0. || not (Float.is_finite hop_latency) then
     invalid_arg "Setup_sim.run: bad hop latency";
   if warmup < 0. || warmup >= duration then
@@ -58,7 +58,7 @@ let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
   let carried_primary = ref 0 and carried_alternate = ref 0 in
   let glare_events = ref 0 and setup_attempts = ref 0 in
   let total_setup_latency = ref 0. in
-  Array.iter (fun c -> Event_queue.push queue ~time:c.Trace.time (Arrival c)) calls;
+  Array.iteri (fun i time -> Event_queue.push queue ~time (Arrival i)) times;
   let link_admits s k =
     if s.is_primary then Admission.link_admits_primary admission ~occupancy k
     else Admission.link_admits_alternate admission ~occupancy k
@@ -75,10 +75,10 @@ let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
       if s.measured then incr setup_attempts;
       Event_queue.push queue ~time (Forward (s, 0))
   and handle time = function
-    | Arrival c ->
-      let measured = c.Trace.time >= warmup in
+    | Arrival i ->
+      let measured = times.(i) >= warmup in
       if measured then incr offered;
-      let src = c.Trace.src and dst = c.Trace.dst in
+      let src = srcs.(i) and dst = dsts.(i) in
       if not (Route_table.has_route routes ~src ~dst) then begin
         if measured then incr blocked
       end
@@ -94,8 +94,8 @@ let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
            else [])
         in
         let s =
-          { arrival_time = c.Trace.time;
-            holding = c.Trace.holding;
+          { arrival_time = times.(i);
+            holding = holdings.(i);
             measured;
             remaining = candidates;
             path = primary;

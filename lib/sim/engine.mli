@@ -15,37 +15,62 @@ type outcome =
 
 type policy = {
   name : string;
-  decide : occupancy:int array -> call:Trace.call -> outcome;
-      (** Given current per-link occupancy (indexed by link id; read
-          only), choose a path or block.  The engine verifies that a
-          returned path has spare capacity on every link and connects the
-          call's endpoints. *)
-  is_primary : call:Trace.call -> Path.t -> bool;
-      (** Classifies a routed path for the primary/alternate counters. *)
+  decide : occupancy:int array -> Trace.t -> int -> outcome;
+      (** [decide ~occupancy trace i] routes call [i] of [trace] (read
+          its columns) given the current per-link occupancy in bandwidth
+          units (indexed by link id; read only), or blocks it.  The
+          engine verifies that a returned path connects the call's
+          endpoints and has room for the call's bandwidth on every
+          link. *)
+  primary : Trace.t -> int -> Path.t option;
+      (** The path the policy prefers for call [i] absent congestion
+          and failures.  A routed path [==] or {!Path.equal} to it
+          counts as primary, any other as alternate; an alternate whose
+          primary crosses a failed link also counts as a failover. *)
 }
 
 val run :
   ?warmup:float ->
   ?observer:(Arnet_obs.Event.t -> unit) ->
+  ?script:Script.t ->
   graph:Graph.t ->
   policy:policy ->
   Trace.t ->
   Stats.t
 (** [run ~graph ~policy trace] simulates the whole trace and returns
     statistics over the window [\[warmup, duration)] (default warm-up
-    10 time units, the paper's choice; must be [< duration]).
+    10 time units, the paper's choice; must be [< duration]).  This is
+    the only replay loop: single- and multi-rate traces, with or
+    without failures, all run through it.
+
+    A call of class [c] holds [trace.bandwidths.(c)] units on every link
+    of its path for its holding time.
+
+    [script] (default {!Script.empty}) fails and repairs links during
+    the run.  A [FAIL] releases every in-flight call crossing the link —
+    inside the window each counts in [Stats.dropped] — and then holds
+    the link at its full capacity until its [REPAIR] sets its occupancy
+    back to 0.  A failed link is therefore a full link: every admission
+    rule refuses it, and no policy needs a liveness map.  At one
+    instant, departures due by a script event go first (a call ending
+    the moment its link dies is complete, not dropped), then the script
+    events in script order, then the arrival.  Script events after the
+    last arrival are never applied.  Failure state applies from time 0,
+    so the window starts in the scenario's true state.
 
     When [observer] is given, every step of the run streams through it
     as typed events: a [Run_start] frame, then per call an [Arrival],
-    any in-between [Departure]s, and the [Admit]/[Block] verdict, and
-    finally the remaining in-window [Departure]s and a [Run_end].
-    Decision detail ([Primary_attempt], [Alternate_rejected]) is emitted
-    by observer-aware policies (see [Arnet_core.Scheme]), not the
-    engine.  Without an observer the hot path is untouched: no events
-    are constructed and the only cost is a branch per step.
+    any in-between [Departure]s (a call a [FAIL] drops departs at the
+    failure instant), and the [Admit]/[Block] verdict, and finally the
+    remaining in-window [Departure]s and a [Run_end].  Decision detail
+    ([Primary_attempt], [Alternate_rejected]) is emitted by
+    observer-aware policies (see [Arnet_core.Scheme]), not the engine.
+    Without an observer the hot path is untouched: no events are
+    constructed and the only cost is a branch per step.
 
-    @raise Invalid_argument if the policy routes over a full or
-    nonexistent link (a policy bug), or on size mismatches. *)
+    @raise Invalid_argument if the policy routes over a full (or
+    failed) or nonexistent link (a policy bug), when the script
+    mentions a link outside the graph, or on size mismatches. *)
 
 val calls_simulated : unit -> int
 (** Process-wide total of trace calls replayed by {!run} — a free-running
@@ -109,6 +134,7 @@ val replicate_fresh :
   ?mean_holding:float ->
   ?observe:(seed:int -> policy:string -> (Arnet_obs.Event.t -> unit) option) ->
   ?domains:int ->
+  ?script:(seed:int -> Script.t) ->
   seeds:int list ->
   duration:float ->
   graph:Graph.t ->
@@ -120,6 +146,10 @@ val replicate_fresh :
     policies that learn during a run (estimators, adaptive thresholds)
     start each replication clean.  The factory must produce the same
     policy names in the same order each time.
+
+    [script ~seed] builds the seed's failure script, replayed through
+    every policy — identical arrivals *and* identical failures across
+    the policies being compared.
 
     With [domains > 1] the factory is invoked once per (seed, policy)
     run, inside the worker domain, and only the run's own policy is
@@ -137,8 +167,9 @@ val replicate_grid :
   run:('ctx -> int -> 'r) ->
   unit ->
   (string * 'r list) list
-(** The (seed × policy) replication grid shared by this engine,
-    [Arnet_failure.Failure_engine] and [Arnet_multirate.Mr_engine].
+(** The (seed × policy) replication grid behind {!replicate_fresh},
+    also called directly by replications whose traces come from another
+    generator (multi-rate workloads).
     [context seed] builds what one seed's runs share — its trace, and
     whatever else the caller derives from the seed (a failure script,
     fresh policies) — and [run ctx i] replays the policy at index [i]

@@ -7,10 +7,17 @@ type t = {
   mutable alternate_hops : int;
   offered_od : int array;
   blocked_od : int array;
+  class_offered : int array;
+  class_blocked : int array;
+  mutable offered_bandwidth : int;
+  mutable blocked_bandwidth : int;
+  mutable dropped : int;
+  mutable failovers : int;
 }
 
-let empty ~nodes =
+let empty ~nodes ~classes =
   if nodes < 2 then invalid_arg "Stats.empty: need >= 2 nodes";
+  if classes < 1 then invalid_arg "Stats.empty: need >= 1 class";
   { nodes;
     offered = 0;
     blocked = 0;
@@ -18,22 +25,32 @@ let empty ~nodes =
     carried_alternate = 0;
     alternate_hops = 0;
     offered_od = Array.make (nodes * nodes) 0;
-    blocked_od = Array.make (nodes * nodes) 0 }
+    blocked_od = Array.make (nodes * nodes) 0;
+    class_offered = Array.make classes 0;
+    class_blocked = Array.make classes 0;
+    offered_bandwidth = 0;
+    blocked_bandwidth = 0;
+    dropped = 0;
+    failovers = 0 }
 
 let idx t src dst =
   if src < 0 || src >= t.nodes || dst < 0 || dst >= t.nodes then
     invalid_arg "Stats.idx: bad node index";
   (src * t.nodes) + dst
 
-let record_offered t ~src ~dst =
+let record_offered t ~src ~dst ~cls ~bandwidth =
   t.offered <- t.offered + 1;
   let i = idx t src dst in
-  t.offered_od.(i) <- t.offered_od.(i) + 1
+  t.offered_od.(i) <- t.offered_od.(i) + 1;
+  t.class_offered.(cls) <- t.class_offered.(cls) + 1;
+  t.offered_bandwidth <- t.offered_bandwidth + bandwidth
 
-let record_blocked t ~src ~dst =
+let record_blocked t ~src ~dst ~cls ~bandwidth =
   t.blocked <- t.blocked + 1;
   let i = idx t src dst in
-  t.blocked_od.(i) <- t.blocked_od.(i) + 1
+  t.blocked_od.(i) <- t.blocked_od.(i) + 1;
+  t.class_blocked.(cls) <- t.class_blocked.(cls) + 1;
+  t.blocked_bandwidth <- t.blocked_bandwidth + bandwidth
 
 let record_primary t = t.carried_primary <- t.carried_primary + 1
 
@@ -41,34 +58,41 @@ let record_alternate t ~hops =
   t.carried_alternate <- t.carried_alternate + 1;
   t.alternate_hops <- t.alternate_hops + hops
 
-let blocking t =
-  if t.offered = 0 then 0.
-  else float_of_int t.blocked /. float_of_int t.offered
+let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
+
+let blocking t = ratio t.blocked t.offered
+
+let class_blocking t c = ratio t.class_blocked.(c) t.class_offered.(c)
+
+let bandwidth_blocking t = ratio t.blocked_bandwidth t.offered_bandwidth
 
 let od_blocking t ~src ~dst =
   let i = idx t src dst in
   if t.offered_od.(i) = 0 then None
-  else Some (float_of_int t.blocked_od.(i) /. float_of_int t.offered_od.(i))
+  else Some (ratio t.blocked_od.(i) t.offered_od.(i))
 
 let alternate_fraction t =
-  let carried = t.carried_primary + t.carried_alternate in
-  if carried = 0 then 0.
-  else float_of_int t.carried_alternate /. float_of_int carried
+  ratio t.carried_alternate (t.carried_primary + t.carried_alternate)
 
 let merge a b =
   if a.nodes <> b.nodes then invalid_arg "Stats.merge: node count mismatch";
+  if Array.length a.class_offered <> Array.length b.class_offered then
+    invalid_arg "Stats.merge: class count mismatch";
+  let add x y = Array.map2 ( + ) x y in
   { nodes = a.nodes;
     offered = a.offered + b.offered;
     blocked = a.blocked + b.blocked;
     carried_primary = a.carried_primary + b.carried_primary;
     carried_alternate = a.carried_alternate + b.carried_alternate;
     alternate_hops = a.alternate_hops + b.alternate_hops;
-    offered_od =
-      Array.init (Array.length a.offered_od) (fun i ->
-          a.offered_od.(i) + b.offered_od.(i));
-    blocked_od =
-      Array.init (Array.length a.blocked_od) (fun i ->
-          a.blocked_od.(i) + b.blocked_od.(i)) }
+    offered_od = add a.offered_od b.offered_od;
+    blocked_od = add a.blocked_od b.blocked_od;
+    class_offered = add a.class_offered b.class_offered;
+    class_blocked = add a.class_blocked b.class_blocked;
+    offered_bandwidth = a.offered_bandwidth + b.offered_bandwidth;
+    blocked_bandwidth = a.blocked_bandwidth + b.blocked_bandwidth;
+    dropped = a.dropped + b.dropped;
+    failovers = a.failovers + b.failovers }
 
 type summary = { mean : float; std_error : float; replications : int }
 

@@ -14,18 +14,34 @@ type t = {
   mutable alternate_hops : int;  (** total hops over alternate-routed calls *)
   offered_od : int array;  (** per ordered pair, row-major [src*n + dst] *)
   blocked_od : int array;
+  class_offered : int array;  (** per call class (see {!Trace.t}) *)
+  class_blocked : int array;
+  mutable offered_bandwidth : int;  (** bandwidth units requested *)
+  mutable blocked_bandwidth : int;  (** bandwidth units refused *)
+  mutable dropped : int;
+      (** in-flight calls killed by a script [FAIL] inside the window *)
+  mutable failovers : int;
+      (** alternate admissions whose primary crossed a failed link *)
 }
 
-val empty : nodes:int -> t
+val empty : nodes:int -> classes:int -> t
+(** @raise Invalid_argument when [nodes < 2] or [classes < 1]. *)
 
-val record_offered : t -> src:int -> dst:int -> unit
-val record_blocked : t -> src:int -> dst:int -> unit
+val record_offered : t -> src:int -> dst:int -> cls:int -> bandwidth:int -> unit
+val record_blocked : t -> src:int -> dst:int -> cls:int -> bandwidth:int -> unit
 val record_primary : t -> unit
 val record_alternate : t -> hops:int -> unit
 
 val blocking : t -> float
-(** Network average blocking [blocked / offered]; 0 when nothing was
-    offered. *)
+(** Network average blocking [blocked / offered], all classes pooled per
+    call; 0 when nothing was offered. *)
+
+val class_blocking : t -> int -> float
+(** Blocking of one class; 0 when it offered nothing. *)
+
+val bandwidth_blocking : t -> float
+(** Blocked over offered bandwidth — weights wideband calls by their
+    size; equals {!blocking} on a single-rate trace. *)
 
 val od_blocking : t -> src:int -> dst:int -> float option
 (** Per-pair blocking; [None] when the pair offered no calls. *)
@@ -34,7 +50,8 @@ val alternate_fraction : t -> float
 (** Fraction of carried calls that used an alternate path. *)
 
 val merge : t -> t -> t
-(** Pool two windows into a fresh accumulator (same node count). *)
+(** Pool two windows into a fresh accumulator (same node and class
+    counts). *)
 
 (** {1 Across-seed aggregation} *)
 

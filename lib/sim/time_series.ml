@@ -16,11 +16,11 @@ let wrap t (policy : Engine.policy) =
   let bins = Array.length t.offered_bins in
   { policy with
     Engine.decide =
-      (fun ~occupancy ~call ->
-        let outcome = policy.Engine.decide ~occupancy ~call in
+      (fun ~occupancy trace i ->
+        let outcome = policy.Engine.decide ~occupancy trace i in
         let bin =
           Stdlib.min (bins - 1)
-            (int_of_float (call.Trace.time /. t.window))
+            (int_of_float (trace.Trace.times.(i) /. t.window))
         in
         if bin >= 0 then begin
           t.offered_bins.(bin) <- t.offered_bins.(bin) + 1;

@@ -6,7 +6,11 @@
     aggregated Poisson process over the traffic matrix, exponential
     holding times, and one pre-drawn uniform variate per call for any
     randomized routing decision (e.g. bifurcated primaries) — and
-    replaying the same trace through each scheme. *)
+    replaying the same trace through each scheme.
+
+    Every call belongs to a class with its own bandwidth (in the units
+    of link capacity).  A single-rate trace is one class of bandwidth 1;
+    a multi-rate trace (see [Arnet_multirate.Mr_trace]) has several. *)
 
 open Arnet_traffic
 
@@ -17,41 +21,67 @@ type call = {
   holding : float;  (** exponential holding time *)
   u : float;  (** uniform variate in [0,1) reserved for routing choices *)
 }
+(** One hand-built call — the input of {!of_calls}. *)
 
 type t = private {
-  calls : call array;  (** sorted by arrival time *)
-  times : float array;  (** packed column of [calls.(i).time] *)
-  srcs : int array;  (** packed column of [calls.(i).src] *)
-  dsts : int array;  (** packed column of [calls.(i).dst] *)
-  holdings : float array;  (** packed column of [calls.(i).holding] *)
-  us : float array;  (** packed column of [calls.(i).u] *)
-  ends : float array;  (** departure deadlines [time +. holding] *)
+  times : float array;  (** arrival instants, sorted *)
+  srcs : int array;
+  dsts : int array;
+  holdings : float array;
+  us : float array;  (** routing variates *)
+  ends : float array;  (** departure deadlines [times.(i) +. holdings.(i)] *)
+  classes : int array;  (** class of each call, an index into [bandwidths] *)
+  bandwidths : int array;  (** bandwidth of each class, [>= 1] *)
   duration : float;
-  matrix : Matrix.t;  (** the demands that generated it *)
+  matrix : Matrix.t;  (** the demands that generated it, in calls *)
 }
-(** A trace carries the workload twice: [calls] is the record (AoS)
-    view every policy consumes, and the packed columns are the
-    structure-of-arrays view the simulation hot path reads.  The float
-    columns are unboxed, so the engine's inner loop compares times and
-    queues departures ({!Event_queue.push_at} on [ends]) without boxing
-    a single float.  Both views are built once at construction and are
-    always consistent; treat the arrays as read-only. *)
+(** A trace is columns only: call [i] is the [i]-th entry of every
+    per-call array.  The float columns are unboxed, so the engine's
+    inner loop compares times and queues departures
+    ({!Event_queue.push_at} on [ends]) without boxing a single float.
+    The columns are built once, validated, at construction; treat them
+    as read-only. *)
 
 val generate :
   ?mean_holding:float -> rng:Rng.t -> duration:float -> Matrix.t -> t
 (** [generate ~rng ~duration matrix] draws the Poisson workload for
-    [duration] time units.  Pairs arrive with rate [T(i,j)]
-    (unit-mean holding times by default, so demand in Erlangs equals
-    arrival rate).
+    [duration] time units, one class of bandwidth 1.  Pairs arrive with
+    rate [T(i,j)] (unit-mean holding times by default, so demand in
+    Erlangs equals arrival rate).
     @raise Invalid_argument when the matrix has no positive demand, or
     [duration] or [mean_holding] is not positive and finite. *)
 
+val generate_classes :
+  rng:Rng.t ->
+  duration:float ->
+  bandwidths:int array ->
+  mean_holdings:float array ->
+  Matrix.t array ->
+  t
+(** The multi-class form of {!generate}: class [c] offers the demands
+    [matrices.(c)] (in calls), each call seizing [bandwidths.(c)] units
+    for an exponential holding time of mean [mean_holdings.(c)].  The
+    (class, pair) streams are superposed into one Poisson process, so a
+    single class draws exactly what {!generate} draws.  The trace's
+    [matrix] is the sum over classes.
+    @raise Invalid_argument on empty or unequal class arrays, a
+    bandwidth below 1, no positive demand, or a [duration] or mean
+    holding time that is not positive and finite. *)
+
 val of_calls : matrix:Matrix.t -> duration:float -> call list -> t
-(** Build a trace from explicit calls — deterministic workloads for
-    tests and replaying externally captured arrival logs.  Calls must be
-    sorted by time, lie in [\[0, duration)] for a positive finite
-    [duration], have positive holding times, [u] in [\[0, 1)] and valid
-    distinct endpoints for the matrix's node count.
+(** Build a single-class trace from explicit calls — deterministic
+    workloads for tests and replaying externally captured arrival logs.
+    Calls must be sorted by time, lie in [\[0, duration)] for a positive
+    finite [duration], have positive finite holding times, [u] in
+    [\[0, 1)] and valid distinct endpoints for the matrix's node count.
+    @raise Invalid_argument otherwise. *)
+
+val of_class_calls :
+  matrix:Matrix.t -> duration:float -> bandwidths:int array ->
+  (int * call) list -> t
+(** {!of_calls} with a class index per call, under the same checks,
+    plus: every bandwidth is [>= 1] and every class index lies in
+    [bandwidths].
     @raise Invalid_argument otherwise. *)
 
 val shift : t -> float -> t
@@ -65,7 +95,9 @@ val merge : t -> t -> t
     is the later of the two and its matrix the sum — the superposition
     of independent Poisson processes is Poisson at the summed rate, so a
     merged trace is statistically a workload of the summed matrix
-    wherever both components are active.  Node counts must agree. *)
+    wherever both components are active.
+    @raise Invalid_argument when node counts or class bandwidths
+    differ. *)
 
 val call_count : t -> int
 

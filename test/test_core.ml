@@ -199,20 +199,23 @@ let mk_call ?(u = 0.) time src dst holding = { Trace.time; src; dst; holding; u 
 let test_controller_primary_for () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:4 in
   let routes = Route_table.build g in
-  let call = mk_call 0. 0 1 1. in
-  (match Controller.primary_for routes Controller.Table call with
+  let trace =
+    Trace.of_calls ~matrix:(Matrix.uniform ~nodes:3 ~demand:1.) ~duration:1.
+      [ mk_call 0. 0 1 1. ]
+  in
+  (match Controller.primary_for routes Controller.Table trace 0 with
   | Some p -> Alcotest.(check (list int)) "table primary" [ 0; 1 ] (Path.nodes p)
   | None -> Alcotest.fail "primary expected");
   let sampled =
     Controller.Sampled
       (fun ~src ~dst ~u:_ -> Some (Path.make g [ src; 2; dst ]))
   in
-  (match Controller.primary_for routes sampled call with
+  (match Controller.primary_for routes sampled trace 0 with
   | Some p -> Alcotest.(check (list int)) "sampled primary" [ 0; 2; 1 ] (Path.nodes p)
   | None -> Alcotest.fail "primary expected");
   let never = Controller.Sampled (fun ~src:_ ~dst:_ ~u:_ -> None) in
   Alcotest.(check bool) "unroutable" true
-    (Controller.primary_for routes never call = None)
+    (Controller.primary_for routes never trace 0 = None)
 
 let test_controller_decide () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:2 in
@@ -222,10 +225,13 @@ let test_controller_decide () =
   in
   let admission = Admission.unprotected ~capacities in
   let occ = Array.make (Graph.link_count g) 0 in
-  let call = mk_call 0. 0 1 1. in
+  let trace =
+    Trace.of_calls ~matrix:(Matrix.uniform ~nodes:3 ~demand:1.) ~duration:1.
+      [ mk_call 0. 0 1 1. ]
+  in
   let decide occ allow =
     Controller.decide ~routes ~admission ~choice:Controller.Table
-      ~allow_alternates:allow ~occupancy:occ call
+      ~allow_alternates:allow ~occupancy:occ trace 0
   in
   (match decide occ true with
   | Engine.Routed p -> Alcotest.(check int) "primary when free" 1 (Path.hops p)
@@ -487,8 +493,8 @@ let test_scheme_least_busy () =
   let spy =
     { policy with
       Engine.decide =
-        (fun ~occupancy ~call ->
-          let d = policy.Engine.decide ~occupancy ~call in
+        (fun ~occupancy trace i ->
+          let d = policy.Engine.decide ~occupancy trace i in
           (match d with
           | Engine.Routed p -> chosen := Path.nodes p :: !chosen
           | Engine.Lost -> ());

@@ -90,8 +90,8 @@ let test_replicate_fresh_deterministic () =
 
 let bomb =
   { Engine.name = "bomb";
-    decide = (fun ~occupancy:_ ~call:_ -> failwith "bomb");
-    is_primary = (fun ~call:_ _ -> false) }
+    decide = (fun ~occupancy:_ _ _ -> failwith "bomb");
+    primary = (fun _ _ -> None) }
 
 let test_parallel_failure_attribution () =
   let graph = Builders.full_mesh ~nodes:4 ~capacity:30 in
@@ -146,7 +146,7 @@ let test_odometer_concurrent_runs () =
         Trace.generate ~rng ~duration:30. matrix)
   in
   let total =
-    List.fold_left (fun acc t -> acc + Array.length t.Trace.calls) 0 traces
+    List.fold_left (fun acc t -> acc + Trace.call_count t) 0 traces
   in
   let before = Engine.calls_simulated () in
   ignore

@@ -352,25 +352,23 @@ let test_session_errors () =
 let replay st (trace : Trace.t) =
   let departures = Event_queue.create () in
   let accepted = ref 0 and blocked = ref 0 in
-  Array.iter
-    (fun (call : Trace.call) ->
-      Event_queue.pop_until departures ~time:call.Trace.time
+  Array.iteri
+    (fun i time ->
+      Event_queue.pop_until departures ~time
         ~f:(fun _ id ->
           match State.teardown st ~id with
           | Wire.Done -> ()
           | r -> Alcotest.failf "teardown: %s" (Wire.print_response r));
       match
-        State.setup st ~src:call.Trace.src ~dst:call.Trace.dst
-          ~time:(Some call.Trace.time)
+        State.setup st ~src:trace.Trace.srcs.(i) ~dst:trace.Trace.dsts.(i)
+          ~time:(Some time)
       with
       | Wire.Admitted { id; _ } ->
         incr accepted;
-        Event_queue.push departures
-          ~time:(call.Trace.time +. call.Trace.holding)
-          id
+        Event_queue.push_at departures ~times:trace.Trace.ends i id
       | Wire.Blocked -> incr blocked
       | r -> Alcotest.failf "setup: %s" (Wire.print_response r))
-    trace.Trace.calls;
+    trace.Trace.times;
   (!accepted, !blocked)
 
 let test_matches_batch_simulator () =
@@ -569,7 +567,7 @@ let test_link_patch () =
   | r -> Alcotest.failf "setup after add: %s" (Wire.print_response r));
   (* a daemon driving a failure script refuses patches: script events
      address links by id, and patches shift ids *)
-  let module S = Arnet_failure.Script in
+  let module S = Arnet_sim.Script in
   let scripted =
     State.create
       ~failure_script:
@@ -581,7 +579,7 @@ let test_link_patch () =
   | r -> Alcotest.failf "scripted patch: %s" (Wire.print_response r)
 
 let test_failure_script_follows_clock () =
-  let module S = Arnet_failure.Script in
+  let module S = Arnet_sim.Script in
   let g = quadrangle ~capacity:5 () in
   let link = (Graph.find_link_exn g ~src:0 ~dst:1).Link.id in
   let script =
@@ -841,7 +839,7 @@ let test_socket_sharded_connections () =
 (* drive a trace over the socket in engine order, recording every
    response verbatim: the transcript *is* the run, so two identical
    transcripts mean decision-for-decision determinism *)
-let drive_transcript addr (calls : Trace.call array) =
+let drive_transcript addr (trace : Trace.t) =
   let ic, oc = Server.connect ~retry_for:5. addr in
   Fun.protect
     ~finally:(fun () ->
@@ -856,23 +854,21 @@ let drive_transcript addr (calls : Trace.call array) =
         Buffer.add_char log '\n';
         r
       in
-      Array.iter
-        (fun (call : Trace.call) ->
-          Event_queue.pop_until departures ~time:call.Trace.time
+      Array.iteri
+        (fun i time ->
+          Event_queue.pop_until departures ~time
             ~f:(fun _ id -> ignore (request (Wire.Teardown { id })));
           match
             request
               (Wire.Setup
-                 { src = call.Trace.src;
-                   dst = call.Trace.dst;
-                   time = Some call.Trace.time })
+                 { src = trace.Trace.srcs.(i);
+                   dst = trace.Trace.dsts.(i);
+                   time = Some time })
           with
           | Wire.Admitted { id; _ } ->
-            Event_queue.push departures
-              ~time:(call.Trace.time +. call.Trace.holding)
-              id
+            Event_queue.push_at departures ~times:trace.Trace.ends i id
           | _ -> ())
-        calls;
+        trace.Trace.times;
       let rec flush () =
         match Event_queue.pop departures with
         | Some (_, id) ->
@@ -884,7 +880,7 @@ let drive_transcript addr (calls : Trace.call array) =
       Buffer.contents log)
 
 let test_socket_failure_storm () =
-  let module S = Arnet_failure.Script in
+  let module S = Arnet_sim.Script in
   let g = quadrangle () in
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
   (* 2000 arrivals at aggregate rate 180/tu span ~11 tu of virtual
@@ -918,7 +914,7 @@ let test_socket_failure_storm () =
              ignore (ic : in_channel)
            with _ -> ());
           Thread.join server)
-        (fun () -> drive_transcript addr trace.Trace.calls)
+        (fun () -> drive_transcript addr trace)
     in
     (st, transcript)
   in
