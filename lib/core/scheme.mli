@@ -55,8 +55,9 @@ val protected :
     decision rule as {!controlled}, intended for a
     {!Arnet_paths.Route_table.protected} table, where the single
     alternate per pair is the Suurballe link-disjoint mate of the
-    primary — so overflow (and, in the live daemon, failover) always
-    lands on a path sharing no link with the primary. *)
+    primary — so overflow (and failover, under a failure script or in
+    the live daemon) always lands on a path sharing no link with the
+    primary. *)
 
 val controlled_auto :
   ?choice:Controller.primary_choice ->
