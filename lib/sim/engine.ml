@@ -37,7 +37,8 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
         duration; matrix; _ } =
     trace
   in
-  if warmup < 0. || warmup >= duration then
+  (* written so that a NaN warm-up fails too *)
+  if not (warmup >= 0. && warmup < duration) then
     invalid_arg "Engine.run: warmup must be in [0, duration)";
   if Arnet_traffic.Matrix.nodes matrix <> Graph.node_count graph then
     invalid_arg "Engine.run: trace/graph size mismatch";
