@@ -45,19 +45,12 @@ let rec scan_alternates admission occupancy bandwidth paths outcomes i =
   then Array.unsafe_get outcomes i
   else scan_alternates admission occupancy bandwidth paths outcomes (i + 1)
 
-let compile ?(domains = 1) ~name ~routes ~admission ~allow_alternates () =
+let pair_table ?(domains = 1) routes ~unroutable plan =
   let n = Graph.node_count (Route_table.graph routes) in
   let plan_for src dst =
     if src = dst || not (Route_table.has_route routes ~src ~dst) then
       unroutable
-    else begin
-      let p = Route_table.primary routes ~src ~dst in
-      let alts = Route_table.alternate_array routes ~src ~dst in
-      { plan_primary = Some p;
-        routed_primary = Engine.Routed p;
-        alt_paths = alts;
-        alt_outcomes = Array.map (fun q -> Engine.Routed q) alts }
-    end
+    else plan ~src ~dst
   in
   (* per-source rows shard across domains; each plan depends only on its
      own pair's table entry, so the assembled array is bit-identical to
@@ -69,6 +62,20 @@ let compile ?(domains = 1) ~name ~routes ~admission ~allow_alternates () =
   in
   let plans = Array.make (n * n) unroutable in
   List.iteri (fun src row -> Array.blit row 0 plans (src * n) n) rows;
+  plans
+
+let plans ?domains routes =
+  pair_table ?domains routes ~unroutable (fun ~src ~dst ->
+      let p = Route_table.primary routes ~src ~dst in
+      let alts = Route_table.alternate_array routes ~src ~dst in
+      { plan_primary = Some p;
+        routed_primary = Engine.Routed p;
+        alt_paths = alts;
+        alt_outcomes = Array.map (fun q -> Engine.Routed q) alts })
+
+let compile ?domains ~name ~routes ~admission ~allow_alternates () =
+  let n = Graph.node_count (Route_table.graph routes) in
+  let plans = plans ?domains routes in
   let plan_of (trace : Trace.t) i =
     plans.((trace.Trace.srcs.(i) * n) + trace.Trace.dsts.(i))
   in

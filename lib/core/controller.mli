@@ -24,6 +24,37 @@ val primary_for :
   Route_table.t -> primary_choice -> Trace.t -> int -> Path.t option
 (** The primary path tier 1 assigns to call [i] of the trace. *)
 
+val pair_table :
+  ?domains:int ->
+  Route_table.t ->
+  unroutable:'a ->
+  (src:int -> dst:int -> 'a) ->
+  'a array
+(** [pair_table routes ~unroutable plan] is the per-pair decision table
+    of a compiled policy: [plan ~src ~dst] for every ordered pair the
+    table routes, and [unroutable] for the rest (including [src = dst]),
+    row-major at [src * n + dst] for [n] nodes.  [plan] runs once per
+    routable pair, at construction, so a policy that indexes the table
+    by a call's endpoints decides without building anything per call.
+    [domains] (default 1) shards the per-source rows across OCaml
+    domains; [plan] must then be safe to call concurrently, and the
+    table is bit-identical for every domain count. *)
+
+(** Two-tier decision material for one ordered pair, as {!compile} and
+    the compiled least-busy and length-aware policies use it. *)
+type plan = {
+  plan_primary : Path.t option;
+      (** the table primary, prebuilt; [None] when unroutable *)
+  routed_primary : Engine.outcome;  (** [Routed] primary, or [Lost] *)
+  alt_paths : Path.t array;
+      (** {!Route_table.alternate_array}: attempt order, increasing
+          hops, table primary excluded *)
+  alt_outcomes : Engine.outcome array;  (** [Routed alt_paths.(i)] *)
+}
+
+val plans : ?domains:int -> Route_table.t -> plan array
+(** The {!pair_table} of two-tier plans. *)
+
 val compile :
   ?domains:int ->
   name:string ->

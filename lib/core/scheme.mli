@@ -9,9 +9,17 @@
     decision-level trace events ([Primary_attempt], [Alternate_rejected]
     with the refusing link, occupancy and trunk-reservation threshold)
     are emitted through it during simulation.  Omit it (the default) and
-    the decision path is byte-identical to the unobserved scheme.  The
-    custom-decide schemes ({!ott_krishnan}, {!least_busy}) have no
-    trunk-reservation scan to narrate and take no observer. *)
+    the decision path is byte-identical to the unobserved scheme.
+
+    The custom-decide schemes ({!ott_krishnan}, {!least_busy},
+    {!controlled_length_aware}) have no trunk-reservation scan to
+    narrate and take no observer.  Each is compiled at construction, as
+    {!Controller.compile} compiles the two-tier schemes: per-pair plans
+    (prebuilt paths, their [Routed] outcomes and the primary) and
+    per-link tables, so deciding a call is array indexing and loops over
+    ints and unboxed floats, allocating nothing.  Like the rest of this
+    module they ignore a call's bandwidth; on a wideband trace the
+    engine's full-link check stays the guard. *)
 
 open Arnet_paths
 open Arnet_traffic
@@ -77,7 +85,6 @@ val controlled_per_link_h :
     actually crosses it. *)
 
 val controlled_length_aware :
-  ?choice:Controller.primary_choice ->
   matrix:Matrix.t -> Route_table.t -> Engine.policy
 (** The length-prioritized variant Section 3.2 discusses: a link judges
     each alternate call against the protection level for *that call's
@@ -85,7 +92,12 @@ val controlled_length_aware :
     [C - level (Lambda, C, l)] — so shorter (cheaper) alternates face
     laxer thresholds.  The guarantee survives: an l-hop path's summed
     bound is at most [l * (1/l) = 1].  The paper expects the gains to be
-    overwhelmed in practice; the ablation bench checks that. *)
+    overwhelmed in practice; the ablation bench checks that.
+
+    The table primary is tried first (below [C] on every link), then the
+    first stored alternate, in attempt order, with [l <= H] whose every
+    link is below its threshold.  The thresholds are computed once, one
+    per link and length. *)
 
 val controlled_adaptive :
   ?choice:Controller.primary_choice ->
@@ -114,13 +126,25 @@ val ott_krishnan :
     that minimum exceeds [revenue] (default 1, the paper's single-rate
     calls), in which case the call is blocked.  [nu_k] is the primary
     load; the paper uses the *unreduced* intensities (default); set
-    [reduced_load] for the Erlang-fixed-point variant. *)
+    [reduced_load] for the Erlang-fixed-point variant.
+
+    The candidates are {!Arnet_paths.Route_table.all_paths}, in its
+    order, and only a strictly cheaper path replaces the best so far, so
+    the shortest wins among equal prices; an infinite cost (a full link)
+    never wins.  Each link's prices are one {!Arnet_erlang.Shadow_price.row},
+    indexed by occupancy (zeros below [C] on a link without primary
+    load).
+    @raise Invalid_argument unless [revenue > 0] ([infinity] is
+    allowed). *)
 
 val least_busy :
   ?reserves:int array -> Route_table.t -> Engine.policy
 (** Ablation: primary first; among admissible alternates of the
     *shortest admissible length*, picks the one with most free circuits
     (aggregated-least-busy-alternative in the style of [28, 29]), with
-    optional protection. *)
+    optional protection.  The primary is admitted below [C] on every
+    link, an alternate below [C - r] ([r = 0] without [reserves]); a
+    path's free circuits are its fewest [C - occupancy], and among equal
+    counts the first in attempt order wins. *)
 
 val name_of : Engine.policy -> string

@@ -19,13 +19,6 @@ let price t s =
 let capacity t = t.capacity
 let offered t = t.offered
 
-let path_price tables ~link_ids ~occupancy =
-  let total = ref 0. in
-  let i = ref 0 in
-  let n = Array.length link_ids in
-  while !i < n && Float.is_finite !total do
-    let id = link_ids.(!i) in
-    total := !total +. price tables.(id) (occupancy id);
-    incr i
-  done;
-  !total
+let row t =
+  Array.init (t.capacity + 1) (fun s ->
+      if s < t.capacity then t.prices.(s) else infinity)

@@ -30,6 +30,8 @@ val price : t -> int -> float
 val capacity : t -> int
 val offered : t -> float
 
-val path_price : t array -> link_ids:int array -> occupancy:(int -> int) -> float
-(** Sum of link prices along a path given current occupancies —
-    [infinity] if any link is full.  [t array] is indexed by link id. *)
+val row : t -> float array
+(** [row t] holds [price t s] at index [s] for [s = 0 .. capacity]:
+    the finite prices below capacity and [infinity] at [capacity].  A
+    fresh array, built once so that a per-call path pricer can index
+    it by occupancy. *)

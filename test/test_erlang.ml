@@ -215,18 +215,23 @@ let test_shadow_price_values () =
   check_invalid "negative state" (fun () -> ignore (Shadow_price.price t (-1)))
 
 let test_shadow_path_price () =
-  let t0 = Shadow_price.make ~offered:10. ~capacity:12 in
-  let t1 = Shadow_price.make ~offered:5. ~capacity:12 in
-  let tables = [| t0; t1 |] in
-  let occ = [| 3; 7 |] in
-  feq_at 1e-12 "sum of prices"
-    (Shadow_price.price t0 3 +. Shadow_price.price t1 7)
-    (Shadow_price.path_price tables ~link_ids:[| 0; 1 |]
-       ~occupancy:(fun k -> occ.(k)));
-  Alcotest.(check bool) "full link makes path infinite" true
-    (Shadow_price.path_price tables ~link_ids:[| 0; 1 |]
-       ~occupancy:(fun k -> if k = 0 then 12 else 0)
-    = infinity)
+  (* the row a path pricer indexes by occupancy is [price] at every
+     state, infinity at full *)
+  List.iter
+    (fun (offered, capacity) ->
+      let t = Shadow_price.make ~offered ~capacity in
+      let row = Shadow_price.row t in
+      Alcotest.(check int) "length C + 1" (capacity + 1) (Array.length row);
+      for s = 0 to capacity do
+        Alcotest.(check bool)
+          (Printf.sprintf "row = price at %g E, C = %d, s = %d" offered
+             capacity s)
+          true
+          (row.(s) = Shadow_price.price t s)
+      done;
+      Alcotest.(check bool) "infinite at full" true
+        (row.(capacity) = infinity))
+    [ (10., 12); (5., 12); (0.5, 1); (80., 100) ]
 
 (* ------------------------------------------------------------------ *)
 (* Reduced_load *)
