@@ -163,6 +163,51 @@ let test_adaptive_initial_loads () =
   Alcotest.(check string) "infinite refresh is legal" "controlled-adaptive"
     (Scheme.name_of (Scheme.controlled_adaptive ~refresh:infinity routes))
 
+(* the adaptive scheme on NSFNet at 1.3x nominal, frozen per seed:
+   offered, blocked, carried primary, carried alternate, alternate hops
+   and a checksum of [blocked_od].  Links start unprotected and learn
+   their levels over three refreshes *)
+let adaptive_runs () =
+  let routes, nominal = Arnet_experiments.Internet.nominal () in
+  let g = Route_table.graph routes in
+  let matrix = Matrix.scale nominal 1.3 in
+  List.map
+    (fun seed ->
+      let trace =
+        Trace.generate
+          ~rng:(Rng.substream (Rng.create ~seed) "trace")
+          ~duration:40. matrix
+      in
+      let s =
+        Engine.run ~warmup:4. ~graph:g
+          ~policy:(Scheme.controlled_adaptive routes)
+          trace
+      in
+      let od, _ =
+        Array.fold_left
+          (fun (acc, i) b -> (acc + ((i + 1) * b), i + 1))
+          (0, 0) s.Stats.blocked_od
+      in
+      ( Printf.sprintf "seed %d" seed,
+        [ s.Stats.offered;
+          s.Stats.blocked;
+          s.Stats.carried_primary;
+          s.Stats.carried_alternate;
+          s.Stats.alternate_hops;
+          od ] ))
+    [ 1; 2 ]
+
+let test_adaptive_golden () =
+  let frozen =
+    [ ("seed 1",
+        [ 45119; 9411; 33687; 2021; 7765; 853301 ]);
+      ("seed 2",
+        [ 45367; 9319; 34048; 2000; 7720; 832499 ]) ]
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "offered, blocked, primary, alternate, alternate hops, blocked_od sum"
+    frozen (adaptive_runs ())
+
 let test_replicate_fresh_guards_names () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:5 in
   let routes = Route_table.build g in
@@ -195,5 +240,6 @@ let () =
         [ Alcotest.test_case "learns protection" `Slow
             test_adaptive_learns_protection;
           Alcotest.test_case "construction" `Quick test_adaptive_initial_loads;
+          Alcotest.test_case "frozen NSFNet golden" `Quick test_adaptive_golden;
           Alcotest.test_case "replicate_fresh name guard" `Quick
             test_replicate_fresh_guards_names ] ) ]

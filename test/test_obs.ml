@@ -329,6 +329,114 @@ let test_unobserved_runs_emit_nothing () =
   Alcotest.(check bool) "observed run streamed" true
     (Obs.Counters.total_events counters > 0)
 
+(* observed two-tier runs on nominal NSFNet, frozen per run.  The engine
+   and the scheme feed one counter sink, so besides the verdicts the pin
+   holds the decision detail only an observed scheme emits: primary
+   attempts and admissions, alternate rejections, and
+   sum(link * count) over the per-link rejections *)
+let observed_fingerprint (r : Obs.Counters.run) =
+  [ r.Obs.Counters.offered;
+    r.Obs.Counters.blocked;
+    r.Obs.Counters.carried_primary;
+    r.Obs.Counters.carried_alternate;
+    r.Obs.Counters.primary_attempts;
+    r.Obs.Counters.primary_admitted;
+    r.Obs.Counters.alternate_rejections;
+    List.fold_left
+      (fun acc (link, count) -> acc + (link * count))
+      0
+      (Obs.Counters.rejections_by_link r) ]
+
+let observed_runs () =
+  let routes, nominal = Arnet_experiments.Internet.nominal () in
+  let g = Route_table.graph routes in
+  let run ?script label matrix seed scheme =
+    let counters = Obs.Counters.create () in
+    let observer = Obs.Counters.emit counters in
+    let policy = scheme observer in
+    let trace =
+      Trace.generate
+        ~rng:(Rng.substream (Rng.create ~seed) "trace")
+        ~duration:12. matrix
+    in
+    ignore
+      (Engine.run ~warmup:4. ~observer ?script ~graph:g ~policy trace
+        : Stats.t);
+    match Obs.Counters.runs counters with
+    | [ r ] ->
+      ( Printf.sprintf "%s seed %d %s" label seed r.Obs.Counters.policy,
+        observed_fingerprint r )
+    | runs -> Alcotest.failf "expected 1 run, got %d" (List.length runs)
+  in
+  let schemes matrix =
+    [ (fun observer -> Arnet_core.Scheme.single_path ~observer routes);
+      (fun observer -> Arnet_core.Scheme.uncontrolled ~observer routes);
+      (fun observer ->
+        Arnet_core.Scheme.controlled_auto ~observer ~matrix routes) ]
+  in
+  let sweep =
+    List.concat_map
+      (fun scale ->
+        let matrix = Matrix.scale nominal scale in
+        List.concat_map
+          (fun seed ->
+            List.map
+              (run (Printf.sprintf "%.1f" scale) matrix seed)
+              (schemes matrix))
+          [ 1; 2 ])
+      [ 1.0; 1.3 ]
+  in
+  let module S = Script in
+  let script =
+    S.of_events
+      [ { S.time = 5.; link = 3; action = S.Fail };
+        { S.time = 6.; link = 11; action = S.Fail };
+        { S.time = 7.5; link = 20; action = S.Fail };
+        { S.time = 8.; link = 3; action = S.Repair };
+        { S.time = 9.; link = 3; action = S.Fail };
+        { S.time = 10.; link = 11; action = S.Repair };
+        { S.time = 10.5; link = 20; action = S.Repair };
+        { S.time = 11.; link = 3; action = S.Repair } ]
+  in
+  sweep
+  @ [ run ~script "1.0 scripted" nominal 1 (fun observer ->
+          Arnet_core.Scheme.controlled_auto ~observer ~matrix:nominal routes)
+    ]
+
+let test_observed_golden () =
+  let frozen =
+    [ ("1.0 seed 1 single-path",
+        [ 7721; 1054; 6667; 0; 7721; 6667; 0; 0 ]);
+      ("1.0 seed 1 uncontrolled",
+        [ 7721; 868; 5867; 986; 7721; 5867; 8646; 192386 ]);
+      ("1.0 seed 1 controlled",
+        [ 7721; 974; 6662; 85; 7721; 6662; 9466; 186983 ]);
+      ("1.0 seed 2 single-path",
+        [ 7713; 1067; 6646; 0; 7713; 6646; 0; 0 ]);
+      ("1.0 seed 2 uncontrolled",
+        [ 7713; 814; 5927; 972; 7713; 5927; 8116; 178176 ]);
+      ("1.0 seed 2 controlled",
+        [ 7713; 962; 6639; 112; 7713; 6639; 9185; 187265 ]);
+      ("1.3 seed 1 single-path",
+        [ 10030; 2259; 7771; 0; 10030; 7771; 0; 0 ]);
+      ("1.3 seed 1 uncontrolled",
+        [ 10030; 2352; 6018; 1660; 10030; 6018; 22379; 482116 ]);
+      ("1.3 seed 1 controlled",
+        [ 10030; 2207; 7771; 52; 10030; 7771; 20316; 331121 ]);
+      ("1.3 seed 2 single-path",
+        [ 10104; 2244; 7860; 0; 10104; 7860; 0; 0 ]);
+      ("1.3 seed 2 uncontrolled",
+        [ 10104; 2248; 6267; 1589; 10104; 6267; 21448; 459522 ]);
+      ("1.3 seed 2 controlled",
+        [ 10104; 2173; 7860; 71; 10104; 7860; 19960; 324351 ]);
+      ("1.0 scripted seed 1 controlled",
+        [ 7721; 1238; 6158; 325; 7721; 6158; 11657; 231900 ]) ]
+  in
+  Alcotest.(check (list (pair string (list int))))
+    "offered, blocked, primary, alternate, primary attempts and \
+     admissions, rejections, sum(link * rejections)"
+    frozen (observed_runs ())
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -697,6 +805,8 @@ let () =
             test_counter_sink_matches_run_stats;
           Alcotest.test_case "replicate observed matches stats" `Quick
             test_replicate_observed_matches_stats;
+          Alcotest.test_case "frozen observed two-tier golden" `Quick
+            test_observed_golden;
           Alcotest.test_case "unobserved runs emit nothing" `Quick
             test_unobserved_runs_emit_nothing ] );
       ( "metrics",
