@@ -47,7 +47,7 @@ let path_admits_primary t ~occupancy p =
 let path_admits_alternate t ~occupancy p =
   path_admits t ~occupancy ~bandwidth:1 ~primary:false p
 
-let alternate_refusal t ~occupancy p =
+let alternate_refusal t ~occupancy ~bandwidth p =
   let ids = p.Path.link_ids in
   let n = Array.length ids in
   let rec go i =
@@ -55,14 +55,9 @@ let alternate_refusal t ~occupancy p =
     else begin
       let k = ids.(i) in
       let threshold = t.capacities.(k) - t.reserves.(k) in
-      if occupancy.(k) >= threshold then
+      if occupancy.(k) + bandwidth > threshold then
         Some (k, occupancy.(k), threshold)
       else go (i + 1)
     end
   in
   go 0
-
-let free_circuits t ~occupancy p =
-  Array.fold_left
-    (fun acc k -> Stdlib.min acc (t.capacities.(k) - occupancy.(k)))
-    max_int p.Path.link_ids

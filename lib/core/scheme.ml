@@ -8,55 +8,36 @@ let capacities_of routes =
   let g = Route_table.graph routes in
   Array.map (fun (l : Link.t) -> l.capacity) (Graph.links g)
 
-let two_tier ?observer ?domains ~name ~choice ~allow_alternates ~admission
-    routes =
-  match (observer, choice) with
-  | None, Controller.Table ->
-    (* the benchmark configuration: compiled, allocation-free decisions
-       (identical outcomes to the generic path below) *)
-    Controller.compile ?domains ~name ~routes ~admission ~allow_alternates ()
-  | _ ->
-    { Engine.name;
-      decide =
-        (fun ~occupancy trace i ->
-          Controller.decide ?observer ~routes ~admission ~choice
-            ~allow_alternates ~occupancy trace i);
-      primary = Controller.primary_for routes choice }
-
-let single_path ?(choice = Controller.Table) ?observer ?domains routes =
+let single_path ?choice ?observer ?domains routes =
   let admission = Admission.unprotected ~capacities:(capacities_of routes) in
-  two_tier ?observer ?domains ~name:"single-path" ~choice
-    ~allow_alternates:false ~admission routes
+  Controller.compile ?domains ?observer ?choice ~name:"single-path" ~routes
+    ~admission ~allow_alternates:false ()
 
-let uncontrolled ?(choice = Controller.Table) ?observer ?domains routes =
+let uncontrolled ?observer ?domains routes =
   let admission = Admission.unprotected ~capacities:(capacities_of routes) in
-  two_tier ?observer ?domains ~name:"uncontrolled" ~choice
-    ~allow_alternates:true ~admission routes
+  Controller.compile ?domains ?observer ~name:"uncontrolled" ~routes
+    ~admission ~allow_alternates:true ()
 
-let controlled ?(choice = Controller.Table) ?observer ?domains ~reserves
-    routes =
+let controlled ?choice ?observer ?domains ~reserves routes =
   let admission = Admission.make ~capacities:(capacities_of routes) ~reserves in
-  two_tier ?observer ?domains ~name:"controlled" ~choice
-    ~allow_alternates:true ~admission routes
+  Controller.compile ?domains ?observer ?choice ~name:"controlled" ~routes
+    ~admission ~allow_alternates:true ()
 
-let protected ?(choice = Controller.Table) ?observer ?domains ~reserves
-    routes =
+let protected ?domains ~reserves routes =
   let admission = Admission.make ~capacities:(capacities_of routes) ~reserves in
-  two_tier ?observer ?domains ~name:"protected" ~choice
-    ~allow_alternates:true ~admission routes
+  Controller.compile ?domains ~name:"protected" ~routes ~admission
+    ~allow_alternates:true ()
 
-let controlled_auto ?(choice = Controller.Table) ?observer ?domains ?h
-    ~matrix routes =
+let controlled_auto ?observer ?domains ?h ~matrix routes =
   let h = match h with None -> Route_table.h routes | Some h -> h in
   let reserves = Protection.levels routes matrix ~h in
-  controlled ~choice ?observer ?domains ~reserves routes
+  controlled ?observer ?domains ~reserves routes
 
-let controlled_per_link_h ?(choice = Controller.Table) ?observer ~matrix
-    routes =
+let controlled_per_link_h ~matrix routes =
   let reserves = Protection.levels_per_link_h routes matrix in
   let admission = Admission.make ~capacities:(capacities_of routes) ~reserves in
-  two_tier ?observer ~name:"controlled-per-link-h" ~choice
-    ~allow_alternates:true ~admission routes
+  Controller.compile ~name:"controlled-per-link-h" ~routes ~admission
+    ~allow_alternates:true ()
 
 (* the custom-decide policies below compile like [Controller.compile]:
    per-pair plans built once, indexed by the call's endpoints, and
@@ -116,8 +97,8 @@ let controlled_length_aware ~matrix routes =
   let primary trace i = (plan_of plans n trace i).Controller.plan_primary in
   { Engine.name = "controlled-length-aware"; decide; primary }
 
-let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
-    ?smoothing ?(refresh = 10.) ?initial_loads routes =
+let controlled_adaptive ?h ?window ?smoothing ?(refresh = 10.) ?initial_loads
+    routes =
   if not (refresh > 0.) then
     invalid_arg "Scheme.controlled_adaptive: bad refresh";
   let h = match h with None -> Route_table.h routes | Some h -> h in
@@ -137,11 +118,14 @@ let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
   in
   let next_refresh = ref refresh in
   let admission = ref (Admission.make ~capacities ~reserves) in
-  let decide ~occupancy trace i =
+  let n = node_count routes in
+  let plans = Controller.plans routes in
+  let decide ~occupancy (trace : Trace.t) i =
     let now = trace.Trace.times.(i) in
+    let plan = plan_of plans n trace i in
     (* every primary set-up packet is seen by every link on the primary
        path, whether or not the call completes *)
-    (match Controller.primary_for routes choice trace i with
+    (match plan.Controller.plan_primary with
     | Some primary ->
       Array.iter
         (fun k -> Estimator.observe estimators.(k) ~now)
@@ -157,12 +141,12 @@ let controlled_adaptive ?(choice = Controller.Table) ?observer ?h ?window
       admission := Admission.make ~capacities ~reserves;
       next_refresh := !next_refresh +. refresh
     end;
-    Controller.decide ?observer ~routes ~admission:!admission ~choice
-      ~allow_alternates:true ~occupancy trace i
+    Controller.route !admission ~allow_alternates:true ~occupancy
+      ~bandwidth:trace.Trace.bandwidths.(trace.Trace.classes.(i))
+      plan
   in
-  { Engine.name = "controlled-adaptive";
-    decide;
-    primary = Controller.primary_for routes choice }
+  let primary trace i = (plan_of plans n trace i).Controller.plan_primary in
+  { Engine.name = "controlled-adaptive"; decide; primary }
 
 (* an Ott-Krishnan plan: the pair's paths in [Route_table.all_paths]
    order (the primary merged in by length when it is not a candidate),

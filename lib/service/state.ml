@@ -14,7 +14,11 @@ type t = {
   h : int;  (** protection-rule H: the route table's alternate cap *)
   mutable capacities : int array;
   mutable reserves : int array;
+  mutable plans : Controller.plan array;
+      (** the two-tier plans of [routes], rebuilt with the table *)
   mutable admission : Admission.t;
+      (** [capacities] and [reserves], with capacity 0 and reserve 0 on
+          every failed link, so the two-tier rule refuses dead paths *)
   mutable occupancy : int array;
   mutable failed : bool array;
   mutable estimators : Estimator.t array;
@@ -89,6 +93,7 @@ let create ?h ?matrix ?window ?smoothing ?reload_every ?failure_script
     h;
     capacities;
     reserves;
+    plans = Controller.plans routes;
     admission = Admission.make ~capacities ~reserves;
     occupancy = Array.make m 0;
     failed = Array.make m false;
@@ -135,6 +140,14 @@ let failed_links t =
 
 let err code detail = Wire.Err { code; detail }
 
+(* the admission rule in force: a failed link has capacity 0 (and so
+   reserve 0), so it refuses every call.  [occupancy], [reserves] and the
+   snapshot keep the true values *)
+let refresh_admission t =
+  let live a = Array.mapi (fun k v -> if t.failed.(k) then 0 else v) a in
+  t.admission <-
+    Admission.make ~capacities:(live t.capacities) ~reserves:(live t.reserves)
+
 (* ------------------------------------------------------------------ *)
 (* RELOAD: the Theorem-1 rule at the current demand estimates *)
 
@@ -151,7 +164,7 @@ let do_reload t =
         t.reserves.(k) <- level
       end)
     t.estimators;
-  t.admission <- Admission.make ~capacities:t.capacities ~reserves:t.reserves;
+  refresh_admission t;
   t.reloads <- t.reloads + 1;
   Wire.Reloaded { changed = !changed }
 
@@ -189,11 +202,16 @@ let drop_calls_on t ~link =
 let apply_fail t ~link =
   if not t.failed.(link) then begin
     t.failed.(link) <- true;
+    refresh_admission t;
     (* calls holding a circuit on the dead link are lost with it *)
     drop_calls_on t ~link
   end
 
-let apply_repair t ~link = t.failed.(link) <- false
+let apply_repair t ~link =
+  if t.failed.(link) then begin
+    t.failed.(link) <- false;
+    refresh_admission t
+  end
 
 (* scripted events fire as the virtual clock passes their times, so the
    daemon's behaviour stays a pure function of the command stream: a
@@ -214,7 +232,8 @@ let run_script t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* SETUP: Controller.decide restricted to all-alive paths *)
+(* SETUP: the two-tier rule over the pair's plan, under an admission
+   rule that gives failed links capacity 0 *)
 
 let path_alive t (p : Path.t) =
   Array.for_all (fun k -> not t.failed.(k)) p.Path.link_ids
@@ -256,10 +275,10 @@ let setup t ~src ~dst ~time =
       run_script t;
       let now = t.clock in
       emit t (Obs.Event.Arrival { time = now; src; dst; holding = 0. });
-      if not (Route_table.has_route t.routes ~src ~dst) then
-        after_decision t (block t ~now ~src ~dst)
-      else begin
-        let primary = Route_table.primary t.routes ~src ~dst in
+      let plan = t.plans.((src * n) + dst) in
+      match plan.Controller.plan_primary with
+      | None -> after_decision t (block t ~now ~src ~dst)
+      | Some primary ->
         let primary_alive = path_alive t primary in
         (* every link of an intact primary path sees the set-up packet,
            admitted or not — the estimator feed of Section 1 *)
@@ -267,54 +286,35 @@ let setup t ~src ~dst ~time =
           Array.iter
             (fun k -> Estimator.observe t.estimators.(k) ~now)
             primary.Path.link_ids;
-        let primary_ok =
-          primary_alive
-          && Admission.path_admits_primary t.admission
-               ~occupancy:t.occupancy primary
+        let occupancy = t.occupancy in
+        let outcome =
+          Controller.route t.admission ~allow_alternates:true ~occupancy
+            ~bandwidth:1 plan
         in
-        emit t
-          (Obs.Event.Primary_attempt
-             { time = now;
-               src;
-               dst;
-               hops = Path.hops primary;
-               admitted = primary_ok });
-        if primary_ok then
-          after_decision t (admit t ~now ~src ~dst ~primary:true primary)
-        else begin
-          let alternates =
-            Route_table.alternates_excluding t.routes ~src ~dst primary
-          in
-          let rec attempt = function
-            | [] -> block t ~now ~src ~dst
-            | p :: rest ->
-              if not (path_alive t p) then attempt rest
-              else begin
-                match
-                  Admission.alternate_refusal t.admission
-                    ~occupancy:t.occupancy p
-                with
-                | None ->
-                  (* rerouting around a *dead* primary is a failover;
-                     around a busy one, ordinary overflow *)
-                  if not primary_alive then t.failovers <- t.failovers + 1;
-                  admit t ~now ~src ~dst ~primary:false p
-                | Some (link, occ, threshold) ->
-                  emit t
-                    (Obs.Event.Alternate_rejected
-                       { time = now;
-                         src;
-                         dst;
-                         hops = Path.hops p;
-                         link;
-                         occupancy = occ;
-                         threshold });
-                  attempt rest
-              end
-          in
-          after_decision t (attempt alternates)
-        end
-      end
+        let primary_ok = outcome == plan.Controller.routed_primary in
+        (match t.observer with
+        | None -> ()
+        | Some f ->
+          f
+            (Obs.Event.Primary_attempt
+               { time = now; src; dst; hops = Path.hops primary;
+                 admitted = primary_ok });
+          (* an alternate across a failed link was never a candidate *)
+          Controller.narrate t.admission ~allow_alternates:true ~occupancy
+            ~bandwidth:1 plan outcome (fun p ~link ~occupancy ~threshold ->
+              if path_alive t p then
+                f
+                  (Obs.Event.Alternate_rejected
+                     { time = now; src; dst; hops = Path.hops p; link;
+                       occupancy; threshold })));
+        after_decision t
+          (match outcome with
+          | Arnet_sim.Engine.Lost -> block t ~now ~src ~dst
+          | Arnet_sim.Engine.Routed p ->
+            (* rerouting around a *dead* primary is a failover; around a
+               busy one, ordinary overflow *)
+            if not primary_alive then t.failovers <- t.failovers + 1;
+            admit t ~now ~src ~dst ~primary:primary_ok p)
     end
   end
 
@@ -370,10 +370,11 @@ let script_guard t =
 
 let install t routes =
   t.routes <- routes;
+  t.plans <- Controller.plans routes;
   t.graph <- Route_table.graph routes;
   t.capacities <-
     Array.map (fun (l : Link.t) -> l.Link.capacity) (Graph.links t.graph);
-  t.admission <- Admission.make ~capacities:t.capacities ~reserves:t.reserves
+  refresh_admission t
 
 let link_add t ~src ~dst ~capacity =
   match script_guard t with

@@ -8,14 +8,16 @@
     each link, and the call registry mapping admitted call ids to the
     circuits they hold.
 
-    Each [SETUP] runs exactly the decision of
-    {!Arnet_core.Controller.decide} — primary under the primary rule,
-    then stored alternates in length order under the trunk-reservation
-    rule — restricted to paths whose links are all alive, so link
-    failures reroute traffic around dead links without rebuilding the
-    table.  [RELOAD] re-evaluates the Theorem-1 rule at the current
-    demand estimates, the online reconfiguration the batch simulator
-    cannot do.
+    Each [SETUP] runs {!Arnet_core.Controller.route} over the pair's
+    compiled plan — primary under the primary rule, then stored
+    alternates in length order under the trunk-reservation rule — the
+    decision every two-tier scheme of the simulator makes.  The rule's
+    {!Arnet_core.Admission.t} gives each failed link capacity 0, so
+    link failures reroute traffic around dead links without rebuilding
+    the table; occupancy, reserves and snapshots keep the true values.
+    [RELOAD] re-evaluates the Theorem-1 rule at the current demand
+    estimates, the online reconfiguration the batch simulator cannot
+    do.
 
     The state is single-threaded by design: the server serializes
     commands from all connections into one stream (the wire order *is*

@@ -239,6 +239,37 @@ let test_mr_controlled_protects () =
   Alcotest.(check int) "detour counted as alternate" 1
     s_unc.Stats.carried_alternate
 
+(* every two-tier scheme reads a call's bandwidth, observed or not, with
+   a sampled primary or an adaptive level: on one link of capacity 6, a
+   wideband call (6 units) arriving while a narrowband call holds 1 unit
+   is blocked, never routed over the full link *)
+let test_mr_two_tier_reads_bandwidth () =
+  let g, routes, w = one_link_setup 6 in
+  let trace =
+    Mr_trace.of_calls w ~duration:20.
+      [ mk_call 1. 0 1 10. 0; mk_call 2. 0 1 10. 1 ]
+  in
+  let reserves = [| 0 |] in
+  let observer (_ : Arnet_obs.Event.t) = () in
+  let sampled =
+    Arnet_core.Controller.Sampled
+      (fun ~src ~dst ~u:_ -> Some (Path.make g [ src; dst ]))
+  in
+  List.iter
+    (fun (policy : Engine.policy) ->
+      let s = Engine.run ~warmup:0. ~graph:g ~policy trace in
+      Alcotest.(check int)
+        (policy.Engine.name ^ " blocks the wideband call")
+        1 s.Stats.class_blocked.(1);
+      Alcotest.(check int)
+        (policy.Engine.name ^ " carries the narrowband call")
+        0 s.Stats.class_blocked.(0))
+    [ Arnet_core.Scheme.single_path ~observer routes;
+      Arnet_core.Scheme.uncontrolled ~observer routes;
+      Arnet_core.Scheme.controlled ~observer ~reserves routes;
+      Arnet_core.Scheme.controlled ~choice:sampled ~reserves routes;
+      Arnet_core.Scheme.controlled_adaptive routes ]
+
 (* an alternate as long as the primary is still an alternate: on a
    4-ring both 0->2 paths have 2 hops, and the second wideband call
    rides the one that is not the primary *)
@@ -424,6 +455,8 @@ let () =
           Alcotest.test_case "departure" `Quick test_mr_engine_departure;
           Alcotest.test_case "controlled protects" `Quick
             test_mr_controlled_protects;
+          Alcotest.test_case "two-tier schemes read the bandwidth" `Quick
+            test_mr_two_tier_reads_bandwidth;
           Alcotest.test_case "equal-length alternate" `Quick
             test_mr_equal_length_alternate;
           Alcotest.test_case "protection levels" `Quick

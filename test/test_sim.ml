@@ -722,14 +722,8 @@ let test_engine_alternate_accounting () =
       ~capacities:(Array.map (fun (l : Link.t) -> l.Link.capacity) (Graph.links g))
   in
   let policy =
-    { Engine.name = "two-tier";
-      decide =
-        (fun ~occupancy trace i ->
-          Arnet_core.Controller.decide ~routes ~admission
-            ~choice:Arnet_core.Controller.Table ~allow_alternates:true
-            ~occupancy trace i);
-      primary = Arnet_core.Controller.primary_for routes Arnet_core.Controller.Table
-    }
+    Arnet_core.Controller.compile ~name:"two-tier" ~routes ~admission
+      ~allow_alternates:true ()
   in
   let matrix = Matrix.make ~nodes:3 (fun i j -> if i = 0 && j = 1 then 1. else 0.) in
   let trace =
