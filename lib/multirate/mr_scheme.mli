@@ -5,8 +5,8 @@
     class-[c] call while [occupancy + bandwidth_c <= C], and an
     *alternate-routed* one only while
     [occupancy + bandwidth_c <= C - r] — the protected band now counts
-    bandwidth units rather than calls.  That is the rule every compiled
-    policy applies ({!Arnet_core.Controller.compile}), so the
+    bandwidth units rather than calls.  That is the rule every two-tier
+    policy applies ({!Arnet_core.Controller.route}), so the
     constructors below are the paper's schemes under [mr-*] names.
 
     Protection levels come from the single-rate machinery applied to the
