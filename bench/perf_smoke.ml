@@ -1,8 +1,8 @@
 (* CI perf smoke: a fig3-sized check that the hot path stays both
    correct and allocation-free.
 
-   1. Runs the quick-config quadrangle sweep sequentially and asserts
-      the frozen golden blocking means (the same table tier-1 pins in
+   1. Runs the quick-config quadrangle sweep and asserts the frozen
+      golden blocking means (the same table tier-1 pins in
       test_experiments.ml) still hold bit-identically.
    2. Measures the minor-heap words [Trace.generate] allocates per
       call, against a ceiling that a per-call record view would break.
@@ -41,7 +41,7 @@ let fail fmt =
       failed := true)
     fmt
 
-let config = { Config.quick with Config.domains = 1 }
+let config = Config.quick
 
 (* minor words per replayed call over a whole sweep: trace generation
    (18 words per generated call, each trace replayed once per policy),

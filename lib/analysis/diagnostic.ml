@@ -5,7 +5,6 @@ type location =
   | Node of int
   | Link of { id : int; src : int; dst : int }
   | Pair of { src : int; dst : int }
-  | Src of { file : string; line : int }
 
 type t = {
   code : string;
@@ -31,15 +30,11 @@ let severity_rank : severity -> int = function
   | Warning -> 1
   | Info -> 2
 
-(* source spans sort after the network-shaped locations, by file then
-   line; the string leg rides in the same tuple so [compare] below
-   stays a single lexicographic pass *)
 let location_rank = function
-  | Network -> (0, 0, 0, "")
-  | Node v -> (1, v, 0, "")
-  | Link { id; _ } -> (2, id, 0, "")
-  | Pair { src; dst } -> (3, src, dst, "")
-  | Src { file; line } -> (4, line, 0, file)
+  | Network -> (0, 0, 0)
+  | Node v -> (1, v, 0)
+  | Link { id; _ } -> (2, id, 0)
+  | Pair { src; dst } -> (3, src, dst)
 
 let compare a b =
   let c = Int.compare (severity_rank a.severity) (severity_rank b.severity) in
@@ -56,7 +51,6 @@ let pp_location ppf = function
   | Node v -> Format.fprintf ppf "node %d" v
   | Link { id; src; dst } -> Format.fprintf ppf "link %d (%d->%d)" id src dst
   | Pair { src; dst } -> Format.fprintf ppf "pair %d->%d" src dst
-  | Src { file; line } -> Format.fprintf ppf "%s:%d" file line
 
 let pp ppf d =
   Format.fprintf ppf "%s[%s] %a: %s" (severity_label d.severity) d.code
@@ -91,9 +85,6 @@ let location_json = function
       dst
   | Pair { src; dst } ->
     Printf.sprintf {|{"kind": "pair", "src": %d, "dst": %d}|} src dst
-  | Src { file; line } ->
-    Printf.sprintf {|{"kind": "src", "file": "%s", "line": %d}|} (escape file)
-      line
 
 let json_of one =
   Printf.sprintf
@@ -274,12 +265,6 @@ let location_of_json = function
         }
     | "pair" ->
       Pair { src = as_int (field fields "src"); dst = as_int (field fields "dst") }
-    | "src" ->
-      Src
-        {
-          file = as_string (field fields "file");
-          line = as_int (field fields "line");
-        }
     | k -> invalid_arg ("Diagnostic.list_of_json: unknown location kind " ^ k))
   | _ -> invalid_arg "Diagnostic.list_of_json: location must be an object"
 

@@ -1,13 +1,10 @@
 (** Findings produced by the static verification pass.
 
     A diagnostic pins a violated (or suspicious) invariant to a
-    location: a link, an ordered O-D pair, a node, the configuration as
-    a whole — or, for the source-level domain-safety pass
-    ({!Src_check}), a [file:line] span in this repository's own code.
-    Codes are stable strings (kebab-case for configuration checks,
-    ["SRC0xx"] for source checks) so scripts can filter on them; the
-    full table lives in docs/TUTORIAL.md and is printed by
-    [arn lint --list]. *)
+    location: a link, an ordered O-D pair, a node, or the configuration
+    as a whole.  Codes are stable kebab-case strings so scripts can
+    filter on them; the full table lives in docs/TUTORIAL.md and is
+    printed by [arn lint --list]. *)
 
 type severity =
   | Error  (** the Theorem-1 guarantee (or basic well-formedness) is broken *)
@@ -19,8 +16,6 @@ type location =
   | Node of int
   | Link of { id : int; src : int; dst : int }
   | Pair of { src : int; dst : int }  (** an ordered O-D pair *)
-  | Src of { file : string; line : int }
-      (** a source span, as reported by [arn lint --source] *)
 
 type t = {
   code : string;  (** stable kebab-case identifier *)

@@ -32,27 +32,16 @@ let plan_of_paths p alts =
     alt_paths = alts;
     alt_outcomes = Array.map (fun q -> Engine.Routed q) alts }
 
-let pair_table ?(domains = 1) routes ~unroutable plan =
+let pair_table routes ~unroutable plan =
   let n = Graph.node_count (Route_table.graph routes) in
-  let plan_for src dst =
-    if src = dst || not (Route_table.has_route routes ~src ~dst) then
-      unroutable
-    else plan ~src ~dst
-  in
-  (* per-source rows shard across domains; each plan depends only on its
-     own pair's table entry, so the assembled array is bit-identical to
-     the sequential Array.init for every domain count *)
-  let rows =
-    Arnet_pool.map ~domains
-      (fun src -> Array.init n (fun dst -> plan_for src dst))
-      (List.init n Fun.id)
-  in
-  let plans = Array.make (n * n) unroutable in
-  List.iteri (fun src row -> Array.blit row 0 plans (src * n) n) rows;
-  plans
+  Array.init (n * n) (fun k ->
+      let src = k / n and dst = k mod n in
+      if src = dst || not (Route_table.has_route routes ~src ~dst) then
+        unroutable
+      else plan ~src ~dst)
 
-let plans ?domains routes =
-  pair_table ?domains routes ~unroutable (fun ~src ~dst ->
+let plans routes =
+  pair_table routes ~unroutable (fun ~src ~dst ->
       plan_of_paths
         (Route_table.primary routes ~src ~dst)
         (Route_table.alternate_array routes ~src ~dst))
@@ -101,10 +90,10 @@ let narrate admission ~allow_alternates ~occupancy ~bandwidth plan outcome f =
 
 (* ------------------------------------------------------------------ *)
 
-let compile ?domains ?observer ?(choice = Table) ~name ~routes ~admission
+let compile ?observer ?(choice = Table) ~name ~routes ~admission
     ~allow_alternates () =
   let n = Graph.node_count (Route_table.graph routes) in
-  let plans = plans ?domains routes in
+  let plans = plans routes in
   let table_plan (trace : Trace.t) i =
     plans.((trace.Trace.srcs.(i) * n) + trace.Trace.dsts.(i))
   in

@@ -22,7 +22,6 @@ type primary_choice =
           uniform variate; [None] means the pair is unroutable *)
 
 val pair_table :
-  ?domains:int ->
   Route_table.t ->
   unroutable:'a ->
   (src:int -> dst:int -> 'a) ->
@@ -32,10 +31,7 @@ val pair_table :
     table routes, and [unroutable] for the rest (including [src = dst]),
     row-major at [src * n + dst] for [n] nodes.  [plan] runs once per
     routable pair, at construction, so a policy that indexes the table
-    by a call's endpoints decides without building anything per call.
-    [domains] (default 1) shards the per-source rows across OCaml
-    domains; [plan] must then be safe to call concurrently, and the
-    table is bit-identical for every domain count. *)
+    by a call's endpoints decides without building anything per call. *)
 
 (** Two-tier decision material for one ordered pair, as {!route} and
     the compiled least-busy and length-aware policies use it. *)
@@ -49,7 +45,7 @@ type plan = {
   alt_outcomes : Engine.outcome array;  (** [Routed alt_paths.(i)] *)
 }
 
-val plans : ?domains:int -> Route_table.t -> plan array
+val plans : Route_table.t -> plan array
 (** The {!pair_table} of two-tier plans. *)
 
 val route :
@@ -82,7 +78,6 @@ val narrate :
     and its threshold [C - r] ({!Admission.alternate_refusal}). *)
 
 val compile :
-  ?domains:int ->
   ?observer:(Arnet_obs.Event.t -> unit) ->
   ?choice:primary_choice ->
   name:string ->
@@ -100,7 +95,4 @@ val compile :
     [observer] hears each decision after it is made, so it cannot change
     one: one [Primary_attempt] per routable call (admitted iff the
     primary was routed), then one [Alternate_rejected] per alternate
-    {!narrate} reports.  [domains] (default 1) shards the per-source
-    plan rows across OCaml domains — at 1000+ nodes the n² plan build
-    dominates setup — and the policy is bit-identical for every domain
-    count. *)
+    {!narrate} reports. *)

@@ -8,30 +8,30 @@ let capacities_of routes =
   let g = Route_table.graph routes in
   Array.map (fun (l : Link.t) -> l.capacity) (Graph.links g)
 
-let single_path ?choice ?observer ?domains routes =
+let single_path ?choice ?observer routes =
   let admission = Admission.unprotected ~capacities:(capacities_of routes) in
-  Controller.compile ?domains ?observer ?choice ~name:"single-path" ~routes
+  Controller.compile ?observer ?choice ~name:"single-path" ~routes
     ~admission ~allow_alternates:false ()
 
-let uncontrolled ?observer ?domains routes =
+let uncontrolled ?observer routes =
   let admission = Admission.unprotected ~capacities:(capacities_of routes) in
-  Controller.compile ?domains ?observer ~name:"uncontrolled" ~routes
+  Controller.compile ?observer ~name:"uncontrolled" ~routes
     ~admission ~allow_alternates:true ()
 
-let controlled ?choice ?observer ?domains ~reserves routes =
+let controlled ?choice ?observer ~reserves routes =
   let admission = Admission.make ~capacities:(capacities_of routes) ~reserves in
-  Controller.compile ?domains ?observer ?choice ~name:"controlled" ~routes
+  Controller.compile ?observer ?choice ~name:"controlled" ~routes
     ~admission ~allow_alternates:true ()
 
-let protected ?domains ~reserves routes =
+let protected ~reserves routes =
   let admission = Admission.make ~capacities:(capacities_of routes) ~reserves in
-  Controller.compile ?domains ~name:"protected" ~routes ~admission
+  Controller.compile ~name:"protected" ~routes ~admission
     ~allow_alternates:true ()
 
-let controlled_auto ?observer ?domains ?h ~matrix routes =
+let controlled_auto ?observer ?h ~matrix routes =
   let h = match h with None -> Route_table.h routes | Some h -> h in
   let reserves = Protection.levels routes matrix ~h in
-  controlled ?observer ?domains ~reserves routes
+  controlled ?observer ~reserves routes
 
 let controlled_per_link_h ~matrix routes =
   let reserves = Protection.levels_per_link_h routes matrix in

@@ -33,20 +33,14 @@ open Arnet_sim
 val single_path :
   ?choice:Controller.primary_choice ->
   ?observer:(Arnet_obs.Event.t -> unit) ->
-  ?domains:int ->
   Route_table.t -> Engine.policy
 (** Tier 1 only: a call completes on its primary path or is lost.
     [choice] (default the table primary, here and on {!controlled})
     selects tier 1's primary: a [Sampled] primary that is not the
-    table's gets its alternates per call.  [domains] (here and on the
-    other two-tier constructors but the adaptive and per-link-H ones)
-    shards {!Controller.compile}'s per-source plan rows across OCaml
-    domains — it changes compilation wall-clock at 1000+ nodes, never
-    the decisions. *)
+    table's gets its alternates per call. *)
 
 val uncontrolled :
   ?observer:(Arnet_obs.Event.t -> unit) ->
-  ?domains:int ->
   Route_table.t -> Engine.policy
 (** Alternate routing with no protection: any alternate with a free
     circuit on every link is taken. *)
@@ -54,14 +48,12 @@ val uncontrolled :
 val controlled :
   ?choice:Controller.primary_choice ->
   ?observer:(Arnet_obs.Event.t -> unit) ->
-  ?domains:int ->
   reserves:int array -> Route_table.t -> Engine.policy
 (** The paper's scheme: alternates admitted per-link only below
     [capacity - reserve].  [reserves] is indexed by link id — usually
     {!Protection.levels}. *)
 
 val protected :
-  ?domains:int ->
   reserves:int array -> Route_table.t -> Engine.policy
 (** Protection-path routing (named ["protected"]): same two-tier
     decision rule as {!controlled}, intended for a
@@ -73,7 +65,6 @@ val protected :
 
 val controlled_auto :
   ?observer:(Arnet_obs.Event.t -> unit) ->
-  ?domains:int ->
   ?h:int -> matrix:Matrix.t -> Route_table.t -> Engine.policy
 (** Convenience: computes reserves from the matrix via
     {!Protection.levels} with [h] defaulting to the route table's own

@@ -7,13 +7,13 @@ let h_sweep ?(scales = [ 0.8; 1.0; 1.2 ]) ?(hs = [ 2; 4; 6; 8; 11 ])
     ~config () =
   let _, nominal = Internet.nominal () in
   let graph = Arnet_topology.Nsfnet.graph () in
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let one_h h =
     let routes = Route_table.build ~h graph in
     let per_scale scale =
       let matrix = Matrix.scale nominal scale in
       let results =
-        Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix
+        Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix
           ~policies:[ Scheme.controlled_auto ~matrix routes ]
           ()
       in

@@ -2,21 +2,16 @@ type t = {
   seeds : int list;
   duration : float;
   warmup : float;
-  domains : int;
 }
 
 let seeds_upto n = List.init n (fun i -> 1000 + i)
 
-let paper =
-  { seeds = seeds_upto 10; duration = 110.; warmup = 10.; domains = 1 }
-
-let quick =
-  { seeds = seeds_upto 3; duration = 50.; warmup = 5.; domains = 1 }
+let paper = { seeds = seeds_upto 10; duration = 110.; warmup = 10. }
+let quick = { seeds = seeds_upto 3; duration = 50.; warmup = 5. }
 
 let of_env () =
   let truthy = function None | Some "" | Some "0" -> false | Some _ -> true in
   let base = if truthy (Sys.getenv_opt "ARNET_QUICK") then quick else paper in
-  let base = { base with domains = Arnet_pool.of_env () } in
   match Sys.getenv_opt "ARNET_SEEDS" with
   | None -> base
   | Some s ->
@@ -25,8 +20,5 @@ let of_env () =
     | _ -> base)
 
 let describe t =
-  Printf.sprintf "%d seeds, warm-up %g, measurement window %g, %d domain%s"
-    (List.length t.seeds) t.warmup
-    (t.duration -. t.warmup)
-    t.domains
-    (if t.domains = 1 then "" else "s")
+  Printf.sprintf "%d seeds, warm-up %g, measurement window %g"
+    (List.length t.seeds) t.warmup (t.duration -. t.warmup)

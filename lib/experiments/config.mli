@@ -8,22 +8,17 @@ type t = {
   seeds : int list;
   duration : float;  (** total simulated time including warm-up *)
   warmup : float;
-  domains : int;
-      (** OCaml domains used to shard independent replication runs
-          (see {!Arnet_sim.Engine.replicate}); 1 = sequential.  Results
-          are bit-identical whatever the value. *)
 }
 
 val paper : t
-(** 10 seeds, warm-up 10, measurement 100 (duration 110), 1 domain. *)
+(** 10 seeds, warm-up 10, measurement 100 (duration 110). *)
 
 val quick : t
-(** 3 seeds, warm-up 5, measurement 45 (duration 50), 1 domain. *)
+(** 3 seeds, warm-up 5, measurement 45 (duration 50). *)
 
 val of_env : unit -> t
 (** [paper] unless the environment variable [ARNET_QUICK] is set to a
     nonempty value other than ["0"]; [ARNET_SEEDS=n] further overrides
-    the seed count (first [n] seeds) and [ARNET_DOMAINS=n] the domain
-    count (default 1). *)
+    the seed count (first [n] seeds). *)
 
 val describe : t -> string

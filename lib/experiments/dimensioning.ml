@@ -55,13 +55,13 @@ let run ?(target = 0.01) ?(lo = 0.8) ?(hi = 2.0) ~config () =
   let simulate ~controlled scale =
     let g = scaled_graph scale in
     let routes = Route_table.build g in
-    let { Config.seeds; duration; warmup; domains } = config in
+    let { Config.seeds; duration; warmup } = config in
     let policy =
       if controlled then Scheme.controlled_auto ~matrix:nominal routes
       else Scheme.single_path routes
     in
     let results =
-      Engine.replicate ~warmup ~domains ~seeds ~duration ~graph:g ~matrix:nominal
+      Engine.replicate ~warmup ~seeds ~duration ~graph:g ~matrix:nominal
         ~policies:[ policy ] ()
     in
     (Stats.blocking_summary (snd (List.hd results))).Stats.mean

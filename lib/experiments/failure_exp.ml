@@ -29,7 +29,7 @@ let run ?(rates = default_rates) ?(mttr = 5.) ~config () =
         invalid_arg "Failure_exp.run: rates must be finite and >= 0")
     rates;
   if mttr <= 0. then invalid_arg "Failure_exp.run: mttr <= 0";
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let graph = Builders.full_mesh ~nodes:4 ~capacity in
   let matrix = Matrix.uniform ~nodes:4 ~demand in
   let routes = Route_table.build graph in
@@ -60,7 +60,7 @@ let run ?(rates = default_rates) ?(mttr = 5.) ~config () =
           ~duration ~mtbf:(1. /. rate) ~mttr graph
     in
     let by_policy =
-      Engine.replicate_fresh ~warmup ~domains ~script ~seeds ~duration ~graph
+      Engine.replicate_fresh ~warmup ~script ~seeds ~duration ~graph
         ~matrix ~policies ()
     in
     let mean f runs =

@@ -10,8 +10,7 @@
     protection-path table whose single alternate is the link-disjoint
     Suurballe mate, with ([protected]) and without ([protected-r0])
     reservation — blocking, in-flight calls dropped by cuts, and
-    failover admissions.  Deterministic per seed, sequential or pooled
-    ([config.domains]). *)
+    failover admissions.  Deterministic per seed. *)
 
 open Arnet_sim
 

@@ -105,7 +105,7 @@ let print_table1 ppf rows =
 type skew_row = { scheme : string; skew : Stats.skew }
 
 let fairness ?(h = 6) ~config () =
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let _, matrix = nominal () in
   let graph = Nsfnet.graph () in
   let routes = Route_table.build ~h graph in
@@ -115,7 +115,7 @@ let fairness ?(h = 6) ~config () =
       Scheme.controlled_auto ~matrix routes ]
   in
   let results =
-    Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix ~policies ()
+    Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix ~policies ()
   in
   List.map
     (fun (scheme, runs) ->

@@ -6,9 +6,9 @@ open Arnet_multirate
 
 (* one trace per seed from the multi-rate substream, replayed through
    every policy *)
-let replicate ~warmup ?domains ~seeds ~duration ~graph ~workload policies =
+let replicate ~warmup ~seeds ~duration ~graph ~workload policies =
   let policy = Array.of_list policies in
-  Engine.replicate_grid ~caller:"Multirate_exp.run" ?domains ~seeds
+  Engine.replicate_grid ~caller:"Multirate_exp.run" ~seeds
     ~names:(List.map (fun p -> p.Engine.name) policies)
     ~context:(fun seed ->
       let rng = Rng.substream (Rng.create ~seed) "mr-trace" in
@@ -59,7 +59,7 @@ type point = {
 let run ?(loads = [ 50.; 65.; 80.; 90. ]) ~config () =
   let graph = Builders.full_mesh ~nodes:4 ~capacity:100 in
   let routes = Route_table.build graph in
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let one load =
     let workload = two_class_workload ~nodes:4 ~narrow_demand:load in
     let policies =
@@ -68,7 +68,7 @@ let run ?(loads = [ 50.; 65.; 80.; 90. ]) ~config () =
         Mr_scheme.controlled_auto routes workload ]
     in
     let results =
-      replicate ~warmup ~domains ~seeds ~duration ~graph ~workload policies
+      replicate ~warmup ~seeds ~duration ~graph ~workload policies
     in
     let mean_of f runs =
       (Stats.summarize (List.map f runs)).Stats.mean

@@ -27,7 +27,7 @@ let run ?(capacity = 8) ?(loads = [ 4.; 5.; 6.; 7.; 8.; 9.; 10. ]) ~config
     () =
   let graph = triangle_graph capacity in
   let routes = Route_table.build graph in
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let one load =
     let model =
       Loss_mdp.make
@@ -43,7 +43,7 @@ let run ?(capacity = 8) ?(loads = [ 4.; 5.; 6.; 7.; 8.; 9.; 10. ]) ~config
     in
     let sim =
       let results =
-        Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix
+        Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix
           ~policies:[ Scheme.controlled ~reserves routes ]
           ()
       in

@@ -20,7 +20,7 @@ let run ?(topology_seeds = [ 11; 22; 33; 44; 55; 66 ]) ?(nodes = 10)
     ?(capacity = 50) ?(target_utilization = 1.6) ~config () =
   if target_utilization <= 0. then
     invalid_arg "Random_mesh.run: bad target utilization";
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let one seed =
     let graph = Builders.waxman ~seed ~nodes ~capacity () in
     let routes = Route_table.build graph in
@@ -30,7 +30,7 @@ let run ?(topology_seeds = [ 11; 22; 33; 44; 55; 66 ]) ?(nodes = 10)
     let scale = target_utilization *. float_of_int capacity /. peak in
     let matrix = Matrix.scale base scale in
     let results =
-      Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix
+      Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix
         ~policies:
           [ Scheme.single_path routes;
             Scheme.uncontrolled routes;

@@ -26,7 +26,7 @@ let pct b =
   else if b >= 0.001 then Printf.sprintf "%.2f%%" (100. *. b)
   else Printf.sprintf "%.4f%%" (100. *. b)
 
-let timed ?domains recorder name f =
+let timed recorder name f =
   let before = Arnet_sim.Engine.calls_simulated () in
   let gc_before = Gc.quick_stat () in
   let span = Arnet_obs.Span.start name in
@@ -38,9 +38,6 @@ let timed ?domains recorder name f =
       let minor_words = gc_after.Gc.minor_words -. gc_before.Gc.minor_words in
       let major_words = gc_after.Gc.major_words -. gc_before.Gc.major_words in
       Arnet_obs.Span.set_meta span "calls" (Arnet_obs.Jsonu.Int calls);
-      (match domains with
-      | Some d -> Arnet_obs.Span.set_meta span "domains" (Arnet_obs.Jsonu.Int d)
-      | None -> ());
       if calls > 0 && wall > 0. then
         Arnet_obs.Span.set_meta span "calls_per_s"
           (Arnet_obs.Jsonu.Float (float_of_int calls /. wall));

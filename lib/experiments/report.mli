@@ -22,13 +22,10 @@ val paper_vs_measured :
 val pct : float -> string
 (** Blocking probability as a percentage with sensible precision. *)
 
-val timed :
-  ?domains:int -> Arnet_obs.Span.recorder -> string -> (unit -> 'a) -> 'a
+val timed : Arnet_obs.Span.recorder -> string -> (unit -> 'a) -> 'a
 (** Run a harness section under a wall-clock span, tagging it with the
     number of simulated calls replayed while it ran ([calls], from
-    [Engine.calls_simulated]) and the implied [calls_per_s]; when
-    [domains] is given it is recorded as a [domains] meta field, so
-    bench records distinguish parallel from sequential sweeps.  Each
+    [Engine.calls_simulated]) and the implied [calls_per_s].  Each
     span also carries the GC dimension: [minor_words] and
     [major_words] ([Gc.quick_stat] deltas over the section, in words)
     and, when any calls were simulated, the derived

@@ -28,9 +28,9 @@ let misestimation ?(scale = 1.2) ?(factors = [ 0.5; 0.7; 1.0; 1.3; 1.7; 2.0 ])
   let policies =
     Scheme.single_path routes :: List.map policy_for factors
   in
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let results =
-    Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix ~policies ()
+    Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix ~policies ()
   in
   let summary name = Stats.blocking_summary (List.assoc name results) in
   let points =
@@ -64,9 +64,9 @@ let adaptive ?(scale = 1.0) ~config () =
       Scheme.controlled_auto ~matrix routes;
       Scheme.controlled_adaptive routes ]
   in
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let results =
-    Engine.replicate_fresh ~warmup ~domains ~seeds ~duration ~graph ~matrix
+    Engine.replicate_fresh ~warmup ~seeds ~duration ~graph ~matrix
       ~policies:make_policies ()
   in
   { schemes =

@@ -7,12 +7,12 @@ type point = {
 }
 
 let run ~config ~graph ~matrix_of ~policies_of ~xs =
-  let { Config.seeds; duration; warmup; domains } = config in
+  let { Config.seeds; duration; warmup } = config in
   let one x =
     let matrix = matrix_of x in
     let policies = policies_of matrix in
     let results =
-      Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix ~policies ()
+      Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix ~policies ()
     in
     let schemes =
       List.map (fun (name, runs) -> (name, Stats.blocking_summary runs)) results

@@ -72,13 +72,9 @@ let build_reference ?h ?primary g =
   let entries = Array.init n (fun src -> Array.init n (entry src)) in
   { graph = g; h; entries; kind }
 
-let build ?(domains = 1) ?h ?primary g =
-  if domains < 1 then invalid_arg "Route_table.build: domains must be >= 1";
+let build ?h ?primary g =
   match primary with
-  | Some _ ->
-    (* a caller-supplied closure may be impure; run it on one domain in
-       the reference per-pair order *)
-    build_reference ?h ?primary g
+  | Some _ -> build_reference ?h ?primary g
   | None ->
     let n = Graph.node_count g in
     check_h h;
@@ -94,13 +90,12 @@ let build ?(domains = 1) ?h ?primary g =
             minhop_entry buckets.(dst) ~walk:(fun () ->
                 Bfs.greedy_walk g ~dist:dist_to.(dst) ~src ~dst))
     in
-    let rows = Arnet_pool.map ~domains row (List.init n Fun.id) in
     { graph = g;
       h = Option.value h ~default:(n - 1);
-      entries = Array.of_list rows;
+      entries = Array.init n row;
       kind = Minhop }
 
-let protected ?(domains = 1) ?weight g =
+let protected ?weight g =
   let n = Graph.node_count g in
   let entry src dst =
     if src = dst then empty_entry
@@ -118,9 +113,8 @@ let protected ?(domains = 1) ?weight g =
         | Some p ->
           { primary = Some p; candidates = [ p ]; primary_alternates = [||] })
   in
-  let row src = Array.init n (entry src) in
-  let rows = Arnet_pool.map ~domains row (List.init n Fun.id) in
-  { graph = g; h = n - 1; entries = Array.of_list rows; kind = Protected }
+  let entries = Array.init n (fun src -> Array.init n (entry src)) in
+  { graph = g; h = n - 1; entries; kind = Protected }
 
 let graph t = t.graph
 let h t = t.h
@@ -230,8 +224,8 @@ let remap_entry id_map e =
     mk_entry (Some (remap_path id_map p)) (List.map (remap_path id_map) e.candidates)
 
 (* recompute the affected pairs, grouped by destination so each group
-   shares one backward BFS; groups shard across domains *)
-let recompute ~domains g' ~h by_dst =
+   shares one backward BFS *)
+let recompute g' ~h by_dst =
   let groups =
     Hashtbl.fold (fun dst srcs acc -> (dst, srcs) :: acc) by_dst []
     |> List.sort compare
@@ -246,7 +240,7 @@ let recompute ~domains g' ~h by_dst =
             ~walk:(fun () -> Bfs.greedy_walk g' ~dist ~src ~dst) ))
       srcs
   in
-  List.concat (Arnet_pool.map ~domains one groups)
+  List.concat_map one groups
 
 let check_pair_nodes ~n ~op src dst =
   if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -254,7 +248,7 @@ let check_pair_nodes ~n ~op src dst =
   if src = dst then
     invalid_arg (Printf.sprintf "Route_table.patch: %s: src = dst" op)
 
-let apply_remove ~domains t ~src:u ~dst:v =
+let apply_remove t ~src:u ~dst:v =
   let g = t.graph in
   let n = Graph.node_count g in
   check_pair_nodes ~n ~op:"remove" u v;
@@ -302,10 +296,10 @@ let apply_remove ~domains t ~src:u ~dst:v =
   in
   List.iter
     (fun (src, dst, e) -> entries'.(src).(dst) <- e)
-    (recompute ~domains g' ~h:t.h by_dst);
+    (recompute g' ~h:t.h by_dst);
   ({ t with graph = g'; entries = entries' }, !affected)
 
-let apply_add ~domains t ~src:u ~dst:v ~capacity =
+let apply_add t ~src:u ~dst:v ~capacity =
   let g = t.graph in
   let n = Graph.node_count g in
   check_pair_nodes ~n ~op:"add" u v;
@@ -343,7 +337,7 @@ let apply_add ~domains t ~src:u ~dst:v ~capacity =
   done;
   List.iter
     (fun (src, dst, e) -> entries'.(src).(dst) <- e)
-    (recompute ~domains g' ~h:t.h by_dst);
+    (recompute g' ~h:t.h by_dst);
   ({ t with graph = g'; entries = entries' }, !affected)
 
 let apply_capacity t ~src ~dst ~capacity =
@@ -352,8 +346,7 @@ let apply_capacity t ~src ~dst ~capacity =
   let g' = Graph.with_capacities t.graph [ (src, dst, capacity) ] in
   ({ t with graph = g' }, 0)
 
-let patch ?(domains = 1) t changes =
-  if domains < 1 then invalid_arg "Route_table.patch: domains must be >= 1";
+let patch t changes =
   (match t.kind with
   | Minhop -> ()
   | Custom ->
@@ -369,8 +362,8 @@ let patch ?(domains = 1) t changes =
       let t, changed =
         match change with
         | Add_link { src; dst; capacity } ->
-          apply_add ~domains t ~src ~dst ~capacity
-        | Remove_link { src; dst } -> apply_remove ~domains t ~src ~dst
+          apply_add t ~src ~dst ~capacity
+        | Remove_link { src; dst } -> apply_remove t ~src ~dst
         | Set_capacity { src; dst; capacity } ->
           apply_capacity t ~src ~dst ~capacity
       in

@@ -10,23 +10,10 @@ type policy = {
 }
 
 (* process-wide odometer: one Array.length per run, so the per-call hot
-   path pays nothing.  Atomic because replications may run on several
-   domains at once; benchmarks read the delta to report calls/sec. *)
-let simulated_calls = Atomic.make 0
+   path pays nothing; benchmarks read the delta to report calls/sec *)
+let simulated_calls = ref 0
 
-let calls_simulated () = Atomic.get simulated_calls
-
-exception
-  Replication_failure of { seed : int; policy : string; exn : exn }
-
-let () =
-  Printexc.register_printer (function
-    | Replication_failure { seed; policy; exn } ->
-      Some
-        (Printf.sprintf
-           "Arnet_sim.Engine.Replication_failure(seed=%d, policy=%S): %s"
-           seed policy (Printexc.to_string exn))
-    | _ -> None)
+let calls_simulated () = !simulated_calls
 
 (* closure-free per-link walks: defined once per run (they close over
    the run's occupancy/capacity arrays) and recurse with int arguments
@@ -50,7 +37,7 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
     (fun l -> capacity.(l.Link.id) <- l.Link.capacity)
     graph;
   let n = Array.length times in
-  ignore (Atomic.fetch_and_add simulated_calls n : int);
+  simulated_calls := !simulated_calls + n;
   let occupancy = Array.make m 0 in
   (* a departure's payload aliases the routed path's own immutable
      link_ids (see Path.t), so an admit copies nothing, and its key is
@@ -239,58 +226,23 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
   | None -> ());
   stats
 
-let replicate_grid ~caller ?(domains = 1) ~seeds ~names ~context ~run () =
+let replicate_grid ~caller ~seeds ~names ~context ~run () =
   if seeds = [] then invalid_arg (caller ^ ": no seeds");
-  if domains < 1 then invalid_arg (caller ^ ": domains must be >= 1");
   let np = List.length names in
-  if domains = 1 then begin
-    (* one context per seed, shared by that seed's runs *)
-    let acc = Array.make np [] in
-    List.iter
-      (fun seed ->
-        let ctx = context seed in
-        for pi = 0 to np - 1 do
-          acc.(pi) <- run ctx pi :: acc.(pi)
-        done)
-      seeds;
-    List.mapi (fun pi name -> (name, List.rev acc.(pi))) names
-  end
-  else begin
-    (* shard at (seed x policy) granularity; every job rebuilds its own
-       context from the seed, so no mutable state crosses domains and
-       each run is bit-identical to its sequential twin *)
-    let seed_arr = Array.of_list seeds in
-    let name_arr = Array.of_list names in
-    let ns = Array.length seed_arr in
-    let jobs = List.init (ns * np) Fun.id in
-    let results =
-      try
-        Arnet_pool.map ~domains
-          (fun j -> run (context seed_arr.(j / np)) (j mod np))
-          jobs
-      with Arnet_pool.Worker { index; exn } ->
-        raise
-          (Replication_failure
-             { seed = seed_arr.(index / np);
-               policy = name_arr.(index mod np);
-               exn })
-    in
-    let flat = Array.of_list results in
-    List.mapi
-      (fun pi name -> (name, List.init ns (fun si -> flat.((si * np) + pi))))
-      names
-  end
+  (* one context per seed, shared by that seed's runs *)
+  let acc = Array.make np [] in
+  List.iter
+    (fun seed ->
+      let ctx = context seed in
+      for pi = 0 to np - 1 do
+        acc.(pi) <- run ctx pi :: acc.(pi)
+      done)
+    seeds;
+  List.mapi (fun pi name -> (name, List.rev acc.(pi))) names
 
-let replicate_fresh ?warmup ?mean_holding ?observe ?domains ?script ~seeds
-    ~duration ~graph ~matrix ~policies () =
+let replicate_fresh ?warmup ?mean_holding ?observe ?script ~seeds ~duration
+    ~graph ~matrix ~policies () =
   let names = List.map (fun p -> p.name) (policies ()) in
-  (* a shared observer sink must see whole Run_start..Run_end frames in
-     seed-major sequence, so observed replications stay on one domain *)
-  let domains =
-    match (observe, domains) with
-    | Some _, Some d when d >= 1 -> Some 1
-    | _ -> domains
-  in
   let context seed =
     let rng = Rng.substream (Rng.create ~seed) "trace" in
     let trace = Trace.generate ?mean_holding ~rng ~duration matrix in
@@ -309,12 +261,12 @@ let replicate_fresh ?warmup ?mean_holding ?observe ?domains ?script ~seeds
     in
     run ?warmup ?observer ?script ~graph ~policy trace
   in
-  replicate_grid ~caller:"Engine.replicate" ?domains ~seeds ~names ~context
+  replicate_grid ~caller:"Engine.replicate" ~seeds ~names ~context
     ~run:run_one ()
 
-let replicate ?warmup ?mean_holding ?observe ?domains ~seeds ~duration ~graph
-    ~matrix ~policies () =
-  replicate_fresh ?warmup ?mean_holding ?observe ?domains ~seeds ~duration
-    ~graph ~matrix
+let replicate ?warmup ?mean_holding ?observe ~seeds ~duration ~graph ~matrix
+    ~policies () =
+  replicate_fresh ?warmup ?mean_holding ?observe ~seeds ~duration ~graph
+    ~matrix
     ~policies:(fun () -> policies)
     ()

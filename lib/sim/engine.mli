@@ -75,23 +75,12 @@ val run :
 val calls_simulated : unit -> int
 (** Process-wide total of trace calls replayed by {!run} — a free-running
     odometer for benchmark harnesses (calls/sec over a wall-clock span).
-    Monotonic and never reset; the counter is atomic, so runs executing
-    concurrently on several domains (see [?domains] below) lose no
-    counts. *)
-
-exception
-  Replication_failure of { seed : int; policy : string; exn : exn }
-(** A parallel replication run raised [exn].  The failing run is
-    identified by its trace [seed] and [policy] name; the remaining
-    queued runs were cancelled.  (Sequential replications, [domains =
-    1], re-raise the original exception unwrapped, exactly as before.)
-    A registered printer renders the payload. *)
+    Monotonic and never reset. *)
 
 val replicate :
   ?warmup:float ->
   ?mean_holding:float ->
   ?observe:(seed:int -> policy:string -> (Arnet_obs.Event.t -> unit) option) ->
-  ?domains:int ->
   seeds:int list ->
   duration:float ->
   graph:Graph.t ->
@@ -105,24 +94,11 @@ val replicate :
     algorithm was run with identical call arrivals and call holding
     times".
 
-    [domains] (default 1) shards the independent (seed, policy) runs
-    across that many OCaml domains via {!replicate_grid}.  Each run
-    regenerates its trace from its seed inside the worker, so no
-    mutable state crosses domains and the returned statistics are
-    bit-identical to a sequential run, reassembled in the same
-    seed-major order.  With [domains > 1] the policies themselves are
-    shared across domains, so their [decide] functions must be safe for
-    concurrent use — true of every {!Arnet_core.Scheme} constructor
-    except the adaptive one (whose closures mutate estimators).  A run
-    that raises cancels the pool and re-raises as
-    {!Replication_failure}.
-
     [observe] selects an event observer per (seed, policy) run — return
     [None] to leave that run unobserved.  Runs execute seed-major in
     policy order, so a single shared sink sees well-formed
-    [Run_start]/[Run_end] frames in sequence.  Because that ordering is
-    part of the observer contract, supplying [observe] forces
-    [domains = 1]: an observed replication always runs sequentially.
+    [Run_start]/[Run_end] frames in sequence.  A run that raises
+    propagates its exception unwrapped.
 
     Policies are reused across seeds, so they must be stateless between
     runs — true of every {!Arnet_core.Scheme} constructor except the
@@ -133,7 +109,6 @@ val replicate_fresh :
   ?warmup:float ->
   ?mean_holding:float ->
   ?observe:(seed:int -> policy:string -> (Arnet_obs.Event.t -> unit) option) ->
-  ?domains:int ->
   ?script:(seed:int -> Script.t) ->
   seeds:int list ->
   duration:float ->
@@ -149,18 +124,10 @@ val replicate_fresh :
 
     [script ~seed] builds the seed's failure script, replayed through
     every policy — identical arrivals *and* identical failures across
-    the policies being compared.
-
-    With [domains > 1] the factory is invoked once per (seed, policy)
-    run, inside the worker domain, and only the run's own policy is
-    taken from the returned list; each policy still starts every
-    replication clean, and factories therefore must be safe to call
-    concurrently.  Statistics are bit-identical to the sequential
-    run. *)
+    the policies being compared. *)
 
 val replicate_grid :
   caller:string ->
-  ?domains:int ->
   seeds:int list ->
   names:string list ->
   context:(int -> 'ctx) ->
@@ -173,16 +140,7 @@ val replicate_grid :
     [context seed] builds what one seed's runs share — its trace, and
     whatever else the caller derives from the seed (a failure script,
     fresh policies) — and [run ctx i] replays the policy at index [i]
-    of [names].  Returns, per name in order, the per-seed results in
-    [seeds] order.
-
-    With [domains = 1] (the default) each seed's context is built
-    once, its runs follow in policy order, and a raising run
-    propagates unwrapped.  With [domains > 1] every run is a separate
-    {!Arnet_pool.map} job that builds its own context inside the
-    worker, so [context] and [run] must be safe to call concurrently;
-    when they depend only on the seed and the index, the results are
-    bit-identical to the sequential ones.  A raising run cancels the
-    pool and re-raises as {!Replication_failure}.
-    @raise Invalid_argument (prefixed with [caller]) on empty [seeds]
-    or [domains < 1]. *)
+    of [names].  Each seed's context is built once, and its runs follow
+    in policy order.  Returns, per name in order, the per-seed results
+    in [seeds] order.  A raising run propagates unwrapped.
+    @raise Invalid_argument (prefixed with [caller]) on empty [seeds]. *)

@@ -333,33 +333,6 @@ let test_scheme_controlled_auto_matches_manual () =
   let s2 = Engine.run ~warmup:5. ~graph:g ~policy:manual trace in
   Alcotest.(check int) "identical decisions" s1.Stats.blocked s2.Stats.blocked
 
-(* the sharded Controller.compile precompute must be path-for-path
-   identical to the sequential one: every decision, not just the
-   aggregate counts, since the trace replay is deterministic *)
-let test_scheme_compile_domains_identical () =
-  let g = Nsfnet.graph () in
-  let routes = Route_table.build ~h:5 g in
-  let matrix = Matrix.uniform ~nodes:(Graph.node_count g) ~demand:6. in
-  let trace =
-    Trace.generate ~rng:(Rng.create ~seed:21) ~duration:40. matrix
-  in
-  let stats domains =
-    Engine.run ~warmup:5. ~graph:g
-      ~policy:(Scheme.controlled_auto ~domains ~matrix routes)
-      trace
-  in
-  let s1 = stats 1 in
-  List.iter
-    (fun domains ->
-      let s = stats domains in
-      Alcotest.(check int) "offered" s1.Stats.offered s.Stats.offered;
-      Alcotest.(check int) "blocked" s1.Stats.blocked s.Stats.blocked;
-      Alcotest.(check int) "carried_primary" s1.Stats.carried_primary
-        s.Stats.carried_primary;
-      Alcotest.(check int) "carried_alternate" s1.Stats.carried_alternate
-        s.Stats.carried_alternate)
-    [ 2; 5 ]
-
 let test_scheme_ott_krishnan_basic () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:5 in
   let routes = Route_table.build g in
@@ -1274,8 +1247,6 @@ let () =
             test_scheme_controlled_threshold;
           Alcotest.test_case "controlled_auto" `Quick
             test_scheme_controlled_auto_matches_manual;
-          Alcotest.test_case "compiled plans identical across domains"
-            `Quick test_scheme_compile_domains_identical;
           Alcotest.test_case "ott-krishnan basic" `Quick
             test_scheme_ott_krishnan_basic;
           Alcotest.test_case "ott-krishnan price blocking" `Quick

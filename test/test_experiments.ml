@@ -1,13 +1,8 @@
 open Arnet_experiments
 
-let env_domains = Arnet_pool.of_env ()
-
 let tiny =
-  (* even faster than Config.quick: enough to smoke the machinery;
-     domains from ARNET_DOMAINS so the CI parallel job reruns every
-     sweep through the Domain pool (results are bit-identical) *)
-  { Config.seeds = [ 1; 2 ]; duration = 30.; warmup = 5.;
-    domains = env_domains }
+  (* even faster than Config.quick: enough to smoke the machinery *)
+  { Config.seeds = [ 1; 2 ]; duration = 30.; warmup = 5. }
 
 let feq_at tol = Alcotest.(check (float tol))
 
@@ -22,16 +17,7 @@ let test_config () =
   Unix.putenv "ARNET_SEEDS" "5";
   Alcotest.(check int) "env seed override" 5
     (List.length (Config.of_env ()).Config.seeds);
-  let saved_domains = Sys.getenv_opt "ARNET_DOMAINS" in
-  Unix.putenv "ARNET_DOMAINS" "4";
-  Alcotest.(check int) "env domains" 4 (Config.of_env ()).Config.domains;
-  Unix.putenv "ARNET_DOMAINS" "";
-  Alcotest.(check int) "domains default to 1" 1
-    (Config.of_env ()).Config.domains;
-  Alcotest.(check int) "paper config is sequential" 1
-    Config.paper.Config.domains;
   (* leave the environment as we found it for later tests *)
-  Unix.putenv "ARNET_DOMAINS" (Option.value ~default:"" saved_domains);
   Unix.putenv "ARNET_QUICK" "";
   Unix.putenv "ARNET_SEEDS" ""
 
@@ -105,12 +91,10 @@ let test_quadrangle_golden () =
      (fig4 is the same data on log axes).  These pin the whole
      simulator stack — RNG, trace generation, engine, schemes,
      protection levels: a refactor that silently changes any of them
-     fails tier-1 here instead of drifting EXPERIMENTS.md.  The sweep
-     runs under the environment's domain count, so the CI parallel job
-     also re-proves parallel == sequential against numbers frozen from
-     a sequential run. *)
-  let config = { Config.quick with Config.domains = env_domains } in
-  let points = Quadrangle.run ~loads:[ 80.; 90.; 95. ] ~config () in
+     fails tier-1 here instead of drifting EXPERIMENTS.md. *)
+  let points =
+    Quadrangle.run ~loads:[ 80.; 90.; 95. ] ~config:Config.quick ()
+  in
   let expected =
     [ ( 80.,
         [ ("single-path", 0.0035970687657719772);
@@ -214,9 +198,7 @@ let test_ablation_h_sweep_smoke () =
 let test_overload_smoke () =
   (* one seed at full duration so the 10-unit windows nest cleanly
      inside the surge interval *)
-  let config =
-    { Config.seeds = [ 1 ]; duration = 110.; warmup = 10.; domains = 1 }
-  in
+  let config = { Config.seeds = [ 1 ]; duration = 110.; warmup = 10. } in
   let r = Overload_exp.run ~window:10. ~config () in
   Alcotest.(check int) "three schemes" 3 (List.length r.Overload_exp.series);
   Alcotest.(check bool) "surge inside the run" true
@@ -293,7 +275,7 @@ let test_bistability_smoke () =
   let r =
     Bistability_exp.run ~loads:[ 75.; 95. ] ~sim_load:85.
       ~config:
-        { Config.seeds = [ 1 ]; duration = 60.; warmup = 10.; domains = 1 }
+        { Config.seeds = [ 1 ]; duration = 60.; warmup = 10. }
       ()
   in
   Alcotest.(check int) "two analytic rows" 2 (List.length r.Bistability_exp.rows);

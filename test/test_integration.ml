@@ -7,13 +7,10 @@ open Arnet_traffic
 open Arnet_sim
 open Arnet_core
 
-(* domains from ARNET_DOMAINS so CI's parallel job drives the end-to-end
-   checks through the Domain pool; results are bit-identical either way *)
 let config =
   { Arnet_experiments.Config.seeds = [ 1; 2; 3 ];
     duration = 60.;
-    warmup = 10.;
-    domains = Arnet_pool.of_env () }
+    warmup = 10. }
 
 let run_schemes ~graph ~routes ~matrix ~with_ott =
   let policies =
@@ -22,11 +19,8 @@ let run_schemes ~graph ~routes ~matrix ~with_ott =
       Scheme.controlled_auto ~matrix routes ]
     @ (if with_ott then [ Scheme.ott_krishnan ~matrix routes ] else [])
   in
-  let { Arnet_experiments.Config.seeds; duration; warmup; domains } =
-    config
-  in
-  Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix ~policies
-    ()
+  let { Arnet_experiments.Config.seeds; duration; warmup } = config in
+  Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix ~policies ()
   |> List.map (fun (name, runs) -> (name, Stats.blocking_summary runs))
 
 let mean results name = (List.assoc name results).Stats.mean
@@ -117,11 +111,9 @@ let test_alternate_usage_shrinks_under_control () =
   let graph = Builders.full_mesh ~nodes:4 ~capacity:100 in
   let routes = Route_table.build graph in
   let matrix = Matrix.uniform ~nodes:4 ~demand:100. in
-  let { Arnet_experiments.Config.seeds; duration; warmup; domains } =
-    config
-  in
+  let { Arnet_experiments.Config.seeds; duration; warmup } = config in
   let results =
-    Engine.replicate ~warmup ~domains ~seeds ~duration ~graph ~matrix
+    Engine.replicate ~warmup ~seeds ~duration ~graph ~matrix
       ~policies:
         [ Scheme.uncontrolled routes; Scheme.controlled_auto ~matrix routes ]
       ()

@@ -154,8 +154,7 @@ let test_simulation_cross_check () =
       ~config:
         { Arnet_experiments.Config.seeds = [ 1; 2; 3; 4; 5 ];
           duration = 110.;
-          warmup = 10.;
-          domains = Arnet_pool.of_env () }
+          warmup = 10. }
       ()
   in
   match rows with

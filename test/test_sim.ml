@@ -783,6 +783,141 @@ let test_engine_validation () =
         (Engine.run ~warmup:0. ~graph:bigger ~policy:(direct_policy bigger)
            trace))
 
+(* ------------------------------------------------------------------ *)
+(* replication: one trace per seed through every policy, frozen *)
+
+let replication_seeds = [ 1; 2; 3; 4; 5 ]
+
+(* per policy and seed: offered, blocked, carried on the primary,
+   carried on an alternate, alternate hops *)
+let check_replication msg frozen by_policy =
+  Alcotest.(check (list (pair string (list int))))
+    msg frozen
+    (List.concat_map
+       (fun (name, runs) ->
+         List.map2
+           (fun seed (r : Stats.t) ->
+             ( Printf.sprintf "%s seed %d" name seed,
+               [ r.Stats.offered; r.Stats.blocked; r.Stats.carried_primary;
+                 r.Stats.carried_alternate; r.Stats.alternate_hops ] ))
+           replication_seeds runs)
+       by_policy)
+
+let replicate_three ~graph ~matrix =
+  let routes = Route_table.build graph in
+  Engine.replicate ~warmup:5. ~seeds:replication_seeds ~duration:40. ~graph
+    ~matrix
+    ~policies:
+      [ Arnet_core.Scheme.single_path routes;
+        Arnet_core.Scheme.uncontrolled routes;
+        Arnet_core.Scheme.controlled_auto ~matrix routes ]
+    ()
+
+let test_replication_quadrangle_golden () =
+  let graph = Builders.full_mesh ~nodes:4 ~capacity:30 in
+  let matrix = Matrix.uniform ~nodes:4 ~demand:20. in
+  check_replication "quadrangle"
+    [ ("single-path seed 1", [ 8280; 39; 8241; 0; 0 ]);
+      ("single-path seed 2", [ 8454; 80; 8374; 0; 0 ]);
+      ("single-path seed 3", [ 8359; 59; 8300; 0; 0 ]);
+      ("single-path seed 4", [ 8430; 83; 8347; 0; 0 ]);
+      ("single-path seed 5", [ 8300; 69; 8231; 0; 0 ]);
+      ("uncontrolled seed 1", [ 8280; 0; 8230; 50; 100 ]);
+      ("uncontrolled seed 2", [ 8454; 0; 8346; 108; 216 ]);
+      ("uncontrolled seed 3", [ 8359; 0; 8282; 77; 154 ]);
+      ("uncontrolled seed 4", [ 8430; 3; 8303; 124; 248 ]);
+      ("uncontrolled seed 5", [ 8300; 0; 8208; 92; 185 ]);
+      ("controlled seed 1", [ 8280; 2; 8236; 42; 84 ]);
+      ("controlled seed 2", [ 8454; 3; 8362; 89; 178 ]);
+      ("controlled seed 3", [ 8359; 1; 8291; 67; 136 ]);
+      ("controlled seed 4", [ 8430; 7; 8320; 103; 209 ]);
+      ("controlled seed 5", [ 8300; 3; 8219; 78; 160 ]) ]
+    (replicate_three ~graph ~matrix)
+
+let test_replication_waxman_golden () =
+  (* a sparse Waxman mesh: asymmetric routes, some long alternates *)
+  let graph = Builders.waxman ~seed:11 ~nodes:8 ~capacity:20 () in
+  let matrix = Matrix.uniform ~nodes:8 ~demand:6. in
+  check_replication "waxman"
+    [ ("single-path seed 1", [ 11657; 4098; 7559; 0; 0 ]);
+      ("single-path seed 2", [ 11853; 4186; 7667; 0; 0 ]);
+      ("single-path seed 3", [ 11681; 4109; 7572; 0; 0 ]);
+      ("single-path seed 4", [ 11748; 4084; 7664; 0; 0 ]);
+      ("single-path seed 5", [ 11640; 4166; 7474; 0; 0 ]);
+      ("uncontrolled seed 1", [ 11657; 3642; 5156; 2859; 7953 ]);
+      ("uncontrolled seed 2", [ 11853; 3719; 5244; 2890; 8121 ]);
+      ("uncontrolled seed 3", [ 11681; 3563; 5322; 2796; 7823 ]);
+      ("uncontrolled seed 4", [ 11748; 3680; 5128; 2940; 8197 ]);
+      ("uncontrolled seed 5", [ 11640; 3636; 5097; 2907; 8120 ]);
+      ("controlled seed 1", [ 11657; 3350; 7551; 756; 2026 ]);
+      ("controlled seed 2", [ 11853; 3442; 7654; 757; 2001 ]);
+      ("controlled seed 3", [ 11681; 3351; 7560; 770; 2048 ]);
+      ("controlled seed 4", [ 11748; 3369; 7655; 724; 1962 ]);
+      ("controlled seed 5", [ 11640; 3404; 7466; 770; 2038 ]) ]
+    (replicate_three ~graph ~matrix)
+
+let test_replication_adaptive_golden () =
+  (* a stateful policy through the factory: fresh estimators per seed *)
+  let graph = Builders.full_mesh ~nodes:4 ~capacity:30 in
+  let matrix = Matrix.uniform ~nodes:4 ~demand:25. in
+  let routes = Route_table.build graph in
+  check_replication "replicate_fresh"
+    [ ("single-path seed 1", [ 10429; 530; 9899; 0; 0 ]);
+      ("single-path seed 2", [ 10602; 573; 10029; 0; 0 ]);
+      ("single-path seed 3", [ 10449; 524; 9925; 0; 0 ]);
+      ("single-path seed 4", [ 10494; 646; 9848; 0; 0 ]);
+      ("single-path seed 5", [ 10347; 508; 9839; 0; 0 ]);
+      ("controlled-adaptive seed 1", [ 10429; 519; 9389; 521; 1094 ]);
+      ("controlled-adaptive seed 2", [ 10602; 500; 9558; 544; 1140 ]);
+      ("controlled-adaptive seed 3", [ 10449; 507; 9402; 540; 1120 ]);
+      ("controlled-adaptive seed 4", [ 10494; 610; 9354; 530; 1106 ]);
+      ("controlled-adaptive seed 5", [ 10347; 430; 9340; 577; 1219 ]) ]
+    (Engine.replicate_fresh ~warmup:5. ~seeds:replication_seeds
+       ~duration:40. ~graph ~matrix
+       ~policies:(fun () ->
+         [ Arnet_core.Scheme.single_path routes;
+           Arnet_core.Scheme.controlled_adaptive routes ])
+       ())
+
+let test_replication_failure_unwrapped () =
+  let graph = Builders.full_mesh ~nodes:4 ~capacity:30 in
+  let matrix = Matrix.uniform ~nodes:4 ~demand:20. in
+  let bomb =
+    { Engine.name = "bomb";
+      decide = (fun ~occupancy:_ _ _ -> failwith "bomb");
+      primary = (fun _ _ -> None) }
+  in
+  match
+    Engine.replicate ~warmup:5. ~seeds:replication_seeds ~duration:40. ~graph
+      ~matrix ~policies:[ bomb ] ()
+  with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure m -> Alcotest.(check string) "raw failure" "bomb" m
+
+let test_replication_odometer () =
+  (* one trace per seed, replayed once per policy *)
+  let graph = Builders.full_mesh ~nodes:3 ~capacity:10 in
+  let matrix = Matrix.uniform ~nodes:3 ~demand:5. in
+  let routes = Route_table.build graph in
+  let seeds = [ 200; 201; 202 ] in
+  let per_policy =
+    List.fold_left
+      (fun acc seed ->
+        let rng = Rng.substream (Rng.create ~seed) "trace" in
+        acc + Trace.call_count (Trace.generate ~rng ~duration:30. matrix))
+      0 seeds
+  in
+  let before = Engine.calls_simulated () in
+  ignore
+    (Engine.replicate ~warmup:5. ~seeds ~duration:30. ~graph ~matrix
+       ~policies:
+         [ Arnet_core.Scheme.uncontrolled routes;
+           Arnet_core.Scheme.single_path routes ]
+       ()
+      : (string * Stats.t list) list);
+  Alcotest.(check int) "replayed calls counted" (2 * per_policy)
+    (Engine.calls_simulated () - before)
+
 let () =
   Alcotest.run "sim"
     [ ( "rng",
@@ -830,5 +965,16 @@ let () =
           Alcotest.test_case "determinism/replication" `Quick
             test_engine_determinism_and_replication;
           Alcotest.test_case "validation" `Quick test_engine_validation ] );
+      ( "replication",
+        [ Alcotest.test_case "quadrangle golden" `Quick
+            test_replication_quadrangle_golden;
+          Alcotest.test_case "asymmetric mesh golden" `Quick
+            test_replication_waxman_golden;
+          Alcotest.test_case "replicate_fresh adaptive golden" `Quick
+            test_replication_adaptive_golden;
+          Alcotest.test_case "raising policy unwrapped" `Quick
+            test_replication_failure_unwrapped;
+          Alcotest.test_case "calls_simulated counts replays" `Quick
+            test_replication_odometer ] );
       ( "time-series",
         [ Alcotest.test_case "windows" `Quick test_time_series ] ) ]
