@@ -272,6 +272,7 @@ let parse text =
   (match rest with
   | [] -> ()
   | (line, _) :: _ -> fail line "trailing tokens after '}'");
+  if b.node_count = 0 then fail 0 "graph has no nodes";
   let labels = Array.of_list (List.rev b.rev_labels) in
   let coords = Array.of_list (List.rev b.rev_coords) in
   let links =

@@ -27,7 +27,7 @@ exception Error of string
 (** Malformed input; the message carries a line number. *)
 
 val parse : string -> Topo.t
-(** @raise Error on malformed input. *)
+(** @raise Error on malformed input or a graph with no nodes. *)
 
 val to_dot : Topo.t -> string
 (** Canonical emission: a [digraph] with nodes [n0 .. n<n-1>] carrying

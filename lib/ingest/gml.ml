@@ -170,6 +170,7 @@ let parse text =
       | _ -> fail 0 "malformed node block")
     (find_all "node" graph_fields);
   let n = !count in
+  if n = 0 then fail 0 "graph has no nodes";
   let labels = Array.of_list (List.rev !labels) in
   let coords = Array.of_list (List.rev !coords) in
   (* edges: dedupe on (ordered or unordered) endpoint pair, keeping first

@@ -30,7 +30,7 @@ val default_capacity : int
     attribute: 100, the paper's fully-connected-network link size. *)
 
 val parse : string -> Topo.t
-(** @raise Error on malformed input. *)
+(** @raise Error on malformed input or a graph with no nodes. *)
 
 val to_gml : Topo.t -> string
 (** Canonical emission: a [directed 1] graph with one [edge] block per

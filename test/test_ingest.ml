@@ -79,14 +79,18 @@ let test_gml_errors () =
   check_gml_error "negative capacity"
     "graph [ node [ id 0 ] node [ id 1 ] edge [ source 0 target 1 \
      capacity -3 ] ]";
-  check_gml_error "unterminated string" "graph [ label \"oops ]"
+  check_gml_error "unterminated string" "graph [ label \"oops ]";
+  check_gml_error "no nodes" "graph [ ]";
+  check_gml_error "directed, no nodes" "graph [ directed 1 ]"
 
 let test_dot_errors () =
   check_dot_error "not a graph" "strict {}";
   check_dot_error "unclosed brace" "digraph g { a -> b ";
   check_dot_error "dangling arrow" "digraph g { a -> }";
   check_dot_error "unclosed attrs" "digraph g { a -> b [capacity=3 }";
-  check_dot_error "unterminated string" "digraph \"g {}"
+  check_dot_error "unterminated string" "digraph \"g {}";
+  check_dot_error "no nodes" "digraph g { }";
+  check_dot_error "only attributes" "graph g { rankdir=LR; node [shape=box] }"
 
 (* ------------------------------------------------------------------ *)
 (* dot semantics: chains, undirected graphs, dir=both, merging *)
@@ -312,6 +316,54 @@ let test_fixture_simulate_smoke () =
     (let b = Arnet_sim.Stats.blocking stats in
      b >= 0. && b <= 1.)
 
+(* degenerate files through the real binary: a typed one-line error
+   and exit 2, never an uncaught exception (exit 125) *)
+let run_arn args =
+  let err = Filename.temp_file "arnet-ingest" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let argv = Array.of_list ("../bin/arn.exe" :: args) in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd; Unix.close null)
+      (fun () -> Unix.create_process argv.(0) argv Unix.stdin null fd)
+  in
+  let status = snd (Unix.waitpid [] pid) in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, stderr)
+
+let with_topology_file ext text f =
+  let path = Filename.temp_file "arnet-topo" ext in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let check_usage_error what args =
+  let status, stderr = run_arn args in
+  Alcotest.(check bool)
+    (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+  Alcotest.(check int)
+    (what ^ ": one stderr line") 1
+    (List.length (String.split_on_char '\n' (String.trim stderr)))
+
+let test_cli_degenerate_files () =
+  List.iter
+    (fun (ext, text) ->
+      with_topology_file ext text (fun path ->
+          List.iter
+            (fun cmd ->
+              check_usage_error (cmd ^ " " ^ ext) [ "topo"; cmd; path ])
+            [ "import"; "stats"; "export" ];
+          check_usage_error ("simulate " ^ ext)
+            [ "simulate"; "--quick"; "--topology"; path ]))
+    [ (".gml", "graph [ ]"); (".dot", "digraph g { }") ];
+  List.iter
+    (fun (ext, text) ->
+      with_topology_file ext text (fun path ->
+          check_usage_error ("one-node simulate " ^ ext)
+            [ "simulate"; "--quick"; "--topology"; path ]))
+    [ (".gml", "graph [ node [ id 0 ] ]"); (".dot", "digraph g { a; }") ]
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -325,7 +377,9 @@ let () =
            test_fixture_simulate_smoke ]);
       ("errors",
        [ Alcotest.test_case "malformed gml" `Quick test_gml_errors;
-         Alcotest.test_case "malformed dot" `Quick test_dot_errors ]);
+         Alcotest.test_case "malformed dot" `Quick test_dot_errors;
+         Alcotest.test_case "degenerate files through arn" `Quick
+           test_cli_degenerate_files ]);
       ("dot",
        [ Alcotest.test_case "semantics" `Quick test_dot_semantics;
          Alcotest.test_case "reads Graph.to_dot" `Quick
