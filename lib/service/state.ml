@@ -117,7 +117,6 @@ let create ?h ?matrix ?window ?smoothing ?reload_every ?failure_script
     est_smoothing = smoothing;
     observer }
 
-let emit t ev = match t.observer with Some f -> f ev | None -> ()
 
 let graph t = t.graph
 let routes t = t.routes
@@ -196,7 +195,9 @@ let drop_calls_on t ~link =
       release t c;
       Hashtbl.remove t.active id;
       t.dropped <- t.dropped + 1;
-      emit t (Obs.Event.Departure { time = t.clock; links = c.links }))
+      match t.observer with
+      | Some f -> f (Obs.Event.Departure { time = t.clock; links = c.links })
+      | None -> ())
     (List.sort compare victims)
 
 let apply_fail t ~link =
@@ -245,14 +246,19 @@ let admit t ~now ~src ~dst ~primary (p : Path.t) =
   t.next_id <- t.next_id + 1;
   Hashtbl.replace t.active id { links };
   t.accepted <- t.accepted + 1;
-  emit t
-    (Obs.Event.Admit
-       { time = now; src; dst; hops = Path.hops p; primary; links });
+  (match t.observer with
+  | Some f ->
+    f
+      (Obs.Event.Admit
+         { time = now; src; dst; hops = Path.hops p; primary; links })
+  | None -> ());
   Wire.Admitted { id; path = Path.nodes p }
 
 let block t ~now ~src ~dst =
   t.blocked <- t.blocked + 1;
-  emit t (Obs.Event.Block { time = now; src; dst });
+  (match t.observer with
+  | Some f -> f (Obs.Event.Block { time = now; src; dst })
+  | None -> ());
   Wire.Blocked
 
 let after_decision t response =
@@ -274,7 +280,9 @@ let setup t ~src ~dst ~time =
       (match time with Some u -> t.clock <- Float.max t.clock u | None -> ());
       run_script t;
       let now = t.clock in
-      emit t (Obs.Event.Arrival { time = now; src; dst; holding = 0. });
+      (match t.observer with
+      | Some f -> f (Obs.Event.Arrival { time = now; src; dst; holding = 0. })
+      | None -> ());
       let plan = t.plans.((src * n) + dst) in
       match plan.Controller.plan_primary with
       | None -> after_decision t (block t ~now ~src ~dst)
@@ -327,7 +335,9 @@ let teardown t ~id =
     release t c;
     Hashtbl.remove t.active id;
     t.torn_down <- t.torn_down + 1;
-    emit t (Obs.Event.Departure { time = t.clock; links = c.links });
+    (match t.observer with
+    | Some f -> f (Obs.Event.Departure { time = t.clock; links = c.links })
+    | None -> ());
     Wire.Done
 
 let check_link t link =
@@ -467,9 +477,10 @@ let stats t =
 let finish t =
   if not t.finished then begin
     t.finished <- true;
-    emit t
-      (Obs.Event.Run_end
-         { time = t.clock; calls = t.accepted + t.blocked })
+    match t.observer with
+    | Some f ->
+      f (Obs.Event.Run_end { time = t.clock; calls = t.accepted + t.blocked })
+    | None -> ()
   end
 
 let snapshot t =
