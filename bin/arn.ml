@@ -247,7 +247,9 @@ let import_h h topology =
   | None, Some _ -> Some default_import_h
   | _ -> h
 
-let load_topo ?format path =
+(* a topology file, or one line on stderr prefixed with the calling
+   subcommand [cmd] and exit 2 *)
+let load_topo ~cmd ?format path =
   let format =
     match format with
     | Some f -> f
@@ -256,9 +258,9 @@ let load_topo ?format path =
       | Some f -> f
       | None ->
         Printf.eprintf
-          "arn topo: %s: unrecognised extension (expected .gml, .dot or \
-           .gv); pass --format\n"
-          path;
+          "%s: %s: unrecognised extension (expected .gml, .dot or .gv); \
+           pass --format\n"
+          cmd path;
         exit 2)
   in
   try
@@ -267,11 +269,22 @@ let load_topo ?format path =
     | `Dot -> Ingest.Dot.load path
   with
   | Ingest.Gml.Error msg | Ingest.Dot.Error msg ->
-    Printf.eprintf "arn topo: %s: %s\n" path msg;
+    Printf.eprintf "%s: %s: %s\n" cmd path msg;
     exit 2
   | Sys_error msg ->
-    Printf.eprintf "arn topo: %s\n" msg;
+    Printf.eprintf "%s: %s\n" cmd msg;
     exit 2
+
+(* a topology to route calls over: [load_topo], and at least the two
+   nodes of one pair *)
+let load_network_topo ~cmd path =
+  let t = load_topo ~cmd path in
+  let n = Graph.node_count t.Ingest.Topo.graph in
+  if n < 2 then begin
+    Printf.eprintf "%s: %s: need at least 2 nodes, got %d\n" cmd path n;
+    exit 2
+  end;
+  t
 
 let render_topo ~format topo =
   match format with
@@ -307,7 +320,7 @@ let topo_to_arg default =
 
 let topo_import_cmd =
   let run file fmt out =
-    let t = load_topo ?format:fmt file in
+    let t = load_topo ~cmd:"arn topo" ?format:fmt file in
     Format.fprintf ppf "imported %s: %d nodes, %d links@." t.Ingest.Topo.name
       (Graph.node_count t.Ingest.Topo.graph)
       (Graph.link_count t.Ingest.Topo.graph);
@@ -331,7 +344,8 @@ let topo_import_cmd =
 
 let topo_export_cmd =
   let run file fmt target out =
-    topo_write out (render_topo ~format:target (load_topo ?format:fmt file))
+    topo_write out
+      (render_topo ~format:target (load_topo ~cmd:"arn topo" ?format:fmt file))
   in
   Cmd.v
     (Cmd.info "export"
@@ -344,7 +358,7 @@ let topo_export_cmd =
 
 let topo_stats_cmd =
   let run file fmt =
-    let t = load_topo ?format:fmt file in
+    let t = load_topo ~cmd:"arn topo" ?format:fmt file in
     Format.fprintf ppf "%a@."
       (Ingest.Topo.pp_summary ~name:t.Ingest.Topo.name)
       (Ingest.Topo.summarize t)
@@ -492,13 +506,7 @@ let simulate_cmd =
     let g, matrix =
       match topology with
       | Some path ->
-        let t = load_topo path in
-        let n = Graph.node_count t.Ingest.Topo.graph in
-        if n < 2 then begin
-          Printf.eprintf "arn simulate: %s: need at least 2 nodes, got %d\n"
-            path n;
-          exit 2
-        end;
+        let t = load_network_topo ~cmd:"arn simulate" path in
         ( t.Ingest.Topo.graph,
           Matrix.scale (Ingest.Mesh.gravity t) scale )
       | None ->
@@ -863,9 +871,9 @@ let lint_cmd =
           let g, spec_matrix, import =
             match topology with
             | Some path ->
-              (* load_topo exits 2 on parse errors itself, matching the
-                 invalid-configuration convention *)
-              let t = load_topo path in
+              (* exits 2 on parse errors and one-node files itself,
+                 matching the invalid-configuration convention *)
+              let t = load_network_topo ~cmd:"arn lint" path in
               ( t.Ingest.Topo.graph,
                 Some (Matrix.scale (Ingest.Mesh.gravity t) scale),
                 Some

@@ -11,11 +11,12 @@ type t = private {
   link_ids : int array;  (** ids of the traversed links, length [hops] *)
 }
 (** Aliasing invariant: both arrays are logically immutable and are
-    shared, never copied — the simulator queues [link_ids] itself as the
-    departure payload of every call admitted on the path, and the route
-    table hands out the same {!t} values for the lifetime of a run.
-    Consumers must treat the arrays as read-only; mutating one corrupts
-    every queued departure and routing decision that aliases it. *)
+    shared, never copied — the simulator holds [link_ids] itself for
+    every call admitted on the path until the call departs, and the
+    route table hands out the same {!t} values for the lifetime of a
+    run.  Consumers must treat the arrays as read-only; mutating one
+    corrupts every call in progress and routing decision that aliases
+    it. *)
 
 val make : Graph.t -> int list -> t
 (** [make g nodes] checks that consecutive nodes are linked in [g] and

@@ -20,7 +20,7 @@ let calls_simulated () = !simulated_calls
    only, so the admit/release hot path allocates nothing *)
 let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
     trace =
-  let { Trace.times; srcs; dsts; holdings; ends; classes; bandwidths;
+  let { Trace.times; srcs; dsts; holdings; ends; order; classes; bandwidths;
         duration; matrix; _ } =
     trace
   in
@@ -39,12 +39,16 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
   let n = Array.length times in
   simulated_calls := !simulated_calls + n;
   let occupancy = Array.make m 0 in
-  (* a departure's payload aliases the routed path's own immutable
-     link_ids (see Path.t), so an admit copies nothing, and its key is
-     the call index, which gives the call's bandwidth.  A FAIL marks the
-     calls it drops; their queued departures then release nothing. *)
-  let departures : int array Event_queue.t = Event_queue.create () in
-  let dropped = Bytes.make n '\000' in
+  (* The departure walk.  [order] lists the calls by end time, ties by
+     index, and [!next] is its first entry not yet passed.  Passing the
+     entry of call [j] releases what [held.(j)] holds: the routed path's
+     own immutable link_ids (see Path.t), aliased on admit, so an admit
+     copies nothing.  A blocked call holds [||], and so does a call a
+     FAIL dropped.  The walk passes entry [j] only once call [j] has
+     arrived: a call whose end rounds to its arrival time is released
+     at the next arrival, never before its own decision. *)
+  let held = Array.make n [||] in
+  let next = ref 0 in
   let stats =
     Stats.empty ~nodes:(Graph.node_count graph)
       ~classes:(Array.length bandwidths)
@@ -67,21 +71,29 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
       release_ids ids bw (j + 1)
     end
   in
-  let depart time j ids =
-    if Bytes.get dropped j = '\000' then begin
+  let depart time j =
+    let ids = held.(j) in
+    if Array.length ids > 0 then begin
       release_ids ids bandwidths.(classes.(j)) 0;
       match observer with
       | Some f -> f (Arnet_obs.Event.Departure { time; links = ids })
       | None -> ()
     end
   in
-  let rec depart_until until =
-    match Event_queue.peek_time departures with
-    | Some time when time <= until ->
-      let j = Event_queue.next_key departures in
-      depart time j (Event_queue.pop_payload departures);
-      depart_until until
-    | _ -> ()
+  (* passes every entry of a call [j < arrived] that ends by [until];
+     ties go in index order, so the first entry of a call not yet
+     arrived ends the walk *)
+  let depart_until until arrived =
+    while
+      !next < n
+      &&
+      let j = order.(!next) in
+      j < arrived && ends.(j) <= until
+    do
+      let j = order.(!next) in
+      depart ends.(j) j;
+      incr next
+    done
   in
   let rec occupy ids bw j =
     if j < Array.length ids then begin
@@ -104,18 +116,21 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
     && (failed.(Array.unsafe_get ids j) || crosses_failed ids (j + 1))
   in
   (* no call in flight crosses a link that was already down, so the
-     calls crossing a failed link are the ones crossing [k] *)
+     calls crossing a failed link are the ones crossing [k]; the calls in
+     flight are the held ones the walk has not passed *)
   let fail (e : Script.event) =
     let k = e.Script.link in
     if not failed.(k) then begin
       failed.(k) <- true;
-      Event_queue.iter departures (fun i ids ->
-          if Bytes.get dropped i = '\000' && crosses_failed ids 0 then begin
-            depart e.Script.time i ids;
-            Bytes.set dropped i '\001';
-            if e.Script.time >= warmup then
-              stats.Stats.dropped <- stats.Stats.dropped + 1
-          end);
+      for p = !next to n - 1 do
+        let j = order.(p) in
+        if crosses_failed held.(j) 0 then begin
+          depart e.Script.time j;
+          held.(j) <- [||];
+          if e.Script.time >= warmup then
+            stats.Stats.dropped <- stats.Stats.dropped + 1
+        end
+      done;
       occupancy.(k) <- capacity.(k)
     end
   in
@@ -149,7 +164,7 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
       && events.(!cursor).Script.time <= times.(i)
     do
       let e = events.(!cursor) in
-      depart_until e.Script.time;
+      depart_until e.Script.time i;
       apply e;
       incr cursor
     done;
@@ -159,13 +174,21 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
     if i >= !next_event_call then run_script i;
     (match observer with
     | None ->
-      while Event_queue.next_due departures ~deadlines:times i do
-        let j = Event_queue.next_key departures in
-        let ids = Event_queue.pop_payload departures in
-        if Bytes.get dropped j = '\000' then
-          release_ids ids bandwidths.(classes.(j)) 0
+      (* [depart_until times.(i) i], inline: a float argument would be
+         boxed *)
+      while
+        !next < n
+        &&
+        let j = order.(!next) in
+        j < i && ends.(j) <= times.(i)
+      do
+        let j = order.(!next) in
+        let ids = held.(j) in
+        if Array.length ids > 0 then
+          release_ids ids bandwidths.(classes.(j)) 0;
+        incr next
       done
-    | Some _ -> depart_until times.(i));
+    | Some _ -> depart_until times.(i) i);
     let src = srcs.(i) and dst = dsts.(i) in
     let cls = classes.(i) in
     let bw = bandwidths.(cls) in
@@ -188,7 +211,7 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
         invalid_arg "Engine.run: policy routed to wrong endpoints";
       let ids = p.Path.link_ids in
       occupy ids bw 0;
-      Event_queue.push_at departures ~times:ends i ids;
+      held.(i) <- ids;
       if measured || Option.is_some observer then begin
         let primary = policy.primary trace i in
         let on_primary =
@@ -221,7 +244,7 @@ let run ?(warmup = 10.) ?observer ?(script = Script.empty) ~graph ~policy
   (match observer with
   | Some f ->
     (* drain departures that fall inside the run so the trace balances *)
-    depart_until duration;
+    depart_until duration n;
     f (Arnet_obs.Event.Run_end { time = duration; calls = n })
   | None -> ());
   stats

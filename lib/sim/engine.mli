@@ -44,7 +44,12 @@ val run :
     without failures, all run through it.
 
     A call of class [c] holds [trace.bandwidths.(c)] units on every link
-    of its path for its holding time.
+    of its path for its holding time.  No departure is scheduled: the
+    run walks the trace's departure order ([Trace.order]) and releases
+    each admitted call at the first arrival or script event at or after
+    its end.  Departures at equal end times release in call-index order,
+    and a call whose end rounds to its own arrival time is released at
+    the next arrival.
 
     [script] (default {!Script.empty}) fails and repairs links during
     the run.  A [FAIL] releases every in-flight call crossing the link —
@@ -59,10 +64,11 @@ val run :
     so the window starts in the scenario's true state.
 
     When [observer] is given, every step of the run streams through it
-    as typed events: a [Run_start] frame, then per call an [Arrival],
-    any in-between [Departure]s (a call a [FAIL] drops departs at the
-    failure instant), and the [Admit]/[Block] verdict, and finally the
-    remaining in-window [Departure]s and a [Run_end].  Decision detail
+    as typed events: a [Run_start] frame, then per call any
+    [Departure]s due by its arrival (a call a [FAIL] drops departs at
+    the failure instant), its [Arrival] and the [Admit]/[Block]
+    verdict, and finally the remaining in-window [Departure]s and a
+    [Run_end].  Decision detail
     ([Primary_attempt], [Alternate_rejected]) is emitted by
     observer-aware policies (see [Arnet_core.Scheme]), not the engine.
     Without an observer the hot path is untouched: no events are

@@ -1,10 +1,10 @@
 (* Slot-indexed binary heap.  [times] and [slots] are in heap order and
-   [data] and [keys] are indexed by slot: a payload and its int key are
-   stored once on push and the payload is nulled once on pop, so each event costs two write barriers and sifting moves
-   only unboxed floats and ints.  Free slots sit past the heap, in
-   [slots.(size) .. slots.(hwm - 1)]: a pop parks the root's slot in the
-   vacated last position, and a push reuses [slots.(size)] or takes the
-   fresh slot [hwm].  Sifts move a hole but keep the swap heap's
+   [data] is indexed by slot: a payload is stored once on push and
+   nulled once on pop, so each event costs two write barriers and
+   sifting moves only unboxed floats and ints.  Free slots sit past the
+   heap, in [slots.(size) .. slots.(hwm - 1)]: a pop parks the root's
+   slot in the vacated last position, and a push reuses [slots.(size)]
+   or takes the fresh slot [hwm].  Sifts move a hole but keep the swap heap's
    comparisons (strict [<], the left child on a tie), so every pop, ties
    included, returns what a swap heap would.
 
@@ -17,7 +17,6 @@ type 'a t = {
   mutable times : float array;
   mutable slots : int array;
   mutable data : Obj.t array;
-  mutable keys : int array;  (* slot-indexed: the index given to [push_at] *)
   mutable size : int;
   mutable hwm : int;  (* slots ever handed out since the last [clear] *)
 }
@@ -25,15 +24,9 @@ type 'a t = {
 let nil = Obj.repr ()
 
 let create () =
-  { times = [||]; slots = [||]; data = [||]; keys = [||]; size = 0; hwm = 0 }
+  { times = [||]; slots = [||]; data = [||]; size = 0; hwm = 0 }
 let length h = h.size
 let is_empty h = h.size = 0
-
-let iter h f =
-  for i = 0 to h.size - 1 do
-    let s = h.slots.(i) in
-    f h.keys.(s) (Obj.obj h.data.(s))
-  done
 
 let clear h =
   Array.fill h.data 0 h.hwm nil;
@@ -52,19 +45,17 @@ let ensure_capacity h =
     in
     h.times <- grow h.times 0.;
     h.slots <- grow h.slots 0;
-    h.data <- grow h.data nil;
-    h.keys <- grow h.keys 0
+    h.data <- grow h.data nil
   end
 
 (* inserts [x] with the time the caller stored at [times.(size)] *)
-let insert h x key =
+let insert h x =
   let times = h.times and slots = h.slots in
   let n = h.size in
   let t = times.(n) in
   let s = if n < h.hwm then slots.(n) else n in
   if n = h.hwm then h.hwm <- n + 1;
   h.data.(s) <- Obj.repr x;
-  h.keys.(s) <- key;
   h.size <- n + 1;
   let i = ref n and sifting = ref true in
   while !sifting && !i > 0 do
@@ -83,7 +74,7 @@ let push h ~time x =
   if not (Float.is_finite time) then invalid_arg "Event_queue.push: bad time";
   ensure_capacity h;
   h.times.(h.size) <- time;
-  insert h x (-1)
+  insert h x
 
 let push_at h ~times i x =
   let time = times.(i) in
@@ -92,13 +83,9 @@ let push_at h ~times i x =
   if not (time -. time = 0.) then invalid_arg "Event_queue.push_at: bad time";
   ensure_capacity h;
   h.times.(h.size) <- time;
-  insert h x i
+  insert h x
 
 let peek_time h = if h.size = 0 then None else Some h.times.(0)
-
-let next_key h =
-  if h.size = 0 then invalid_arg "Event_queue.next_key: empty queue";
-  h.keys.(h.slots.(0))
 
 let next_due h ~deadlines i = h.size > 0 && h.times.(0) <= deadlines.(i)
 

@@ -1,8 +1,11 @@
 (** Binary-heap priority queue keyed by simulated time.
 
-    The discrete-event core: departures are queued here, arrivals come
-    pre-sorted from the {!Trace}.  Pops are in nondecreasing time order;
-    ties pop in unspecified (but deterministic) order.
+    The event core of the simulators that schedule as they go (call
+    set-up signalling, the cellular model, the load generator).  Pops
+    are in nondecreasing time order; ties pop in unspecified (but
+    deterministic) order.  {!Engine.run} needs no queue: every departure
+    of a trace is known up front, and it walks the trace's
+    [Trace.order].
 
     Internally a slot-indexed heap: an unboxed [float array] of times
     and an [int array] of slot numbers in heap order, and a payload
@@ -30,9 +33,7 @@ val push : 'a t -> time:float -> 'a -> unit
 val push_at : 'a t -> times:float array -> int -> 'a -> unit
 (** [push_at q ~times i x] is [push q ~time:times.(i) x] without boxing
     the time — the hot-path form for callers whose event times already
-    live in a float array (e.g. {!Trace} departure deadlines).  The event
-    keeps [i] as its key (see {!next_key}); an event from {!push} has
-    key [-1].
+    live in a float array (e.g. {!Trace} departure deadlines).
     @raise Invalid_argument when [times.(i)] is not finite. *)
 
 val peek_time : 'a t -> float option
@@ -53,14 +54,6 @@ val pop_payload : 'a t -> 'a
 
 val pop_until : 'a t -> time:float -> f:(float -> 'a -> unit) -> unit
 (** Pops and applies [f] to every event with time [<= time], in order. *)
-
-val next_key : 'a t -> int
-(** The key of the earliest event — the one {!pop_payload} pops next.
-    @raise Invalid_argument when the queue is empty. *)
-
-val iter : 'a t -> (int -> 'a -> unit) -> unit
-(** Applies [f key payload] to every queued event, in unspecified (but
-    deterministic) order, without popping any. *)
 
 val clear : 'a t -> unit
 (** Empties the queue, releasing every queued payload. *)

@@ -9,6 +9,14 @@ let substream t name =
   let h = Hashtbl.hash (t.seed, name) in
   { seed = h; state = make_state h }
 
+(* [Random.State.float]'s draw, before its scaling: the top 53 bits of
+   one 64-bit output, redrawn on zero.  An int never boxes. *)
+let rec bits53 t =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 t.state) 11)
+  in
+  if n <> 0 then n else bits53 t
+
 let float t bound = Random.State.float t.state bound
 let uniform t = Random.State.float t.state 1.
 let int t bound = Random.State.int t.state bound

@@ -19,6 +19,14 @@ val float : t -> float -> float
 val uniform : t -> float
 (** In [\[0, 1)]. *)
 
+val bits53 : t -> int
+(** The integer behind one {!float} draw: [float_of_int (bits53 t) *.
+    0x1.p-53 *. bound] is bit for bit what [float t bound] would have
+    returned from the same state, and both advance the stream alike.  In
+    [\[1, 2{^53})].  Returning an int, it crosses a call without boxing,
+    so an allocation-free loop can draw {!uniform}, {!float} and
+    {!exponential} variates inline. *)
+
 val int : t -> int -> int
 
 val exponential : t -> rate:float -> float

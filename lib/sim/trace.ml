@@ -15,6 +15,7 @@ type t = {
   holdings : float array;
   us : float array;
   ends : float array;
+  order : int array;
   classes : int array;
   bandwidths : int array;
   duration : float;
@@ -25,25 +26,102 @@ let check_duration caller duration =
   if duration <= 0. || not (Float.is_finite duration) then
     invalid_arg (caller ^ ": duration not positive and finite")
 
+(* The call indices sorted by [ends], ties by index.  A stable counting
+   sort into one bucket per call, by the call's place in [lo, hi], then
+   one insertion sort: the bucket map is monotone, so no call moves past
+   another bucket and the insertions stay inside buckets of about one
+   call each.  Where the ends crowd into a few buckets (a trace merged
+   with one shifted far away), the squared bucket sizes bound the
+   insertion sort's work, and past [8 n] a comparison sort takes over.
+   Loops rather than folds and closures, so no float is boxed. *)
+let departure_order ends =
+  let n = Array.length ends in
+  let order = Array.make n 0 in
+  let identity () = for i = 0 to n - 1 do order.(i) <- i done in
+  let lo = ref infinity and hi = ref neg_infinity in
+  for i = 0 to n - 1 do
+    lo := Float.min !lo ends.(i);
+    hi := Float.max !hi ends.(i)
+  done;
+  let lo = !lo and hi = !hi in
+  if n > 1 && hi > lo then begin
+    let fn = float_of_int n in
+    let scale = fn /. (hi -. lo) in
+    (* call [i]'s bucket; [x < fn] is false for a NaN or an infinity, so
+       every end lands in [0, n) *)
+    let[@inline] bucket i =
+      let x = (ends.(i) -. lo) *. scale in
+      if x < fn then int_of_float x else n - 1
+    in
+    let start = Array.make (n + 1) 0 in
+    for i = 0 to n - 1 do
+      let b = bucket i + 1 in
+      start.(b) <- start.(b) + 1
+    done;
+    let work = ref 0 in
+    for b = 1 to n do
+      work := !work + (start.(b) * start.(b));
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    if !work > 8 * n then begin
+      identity ();
+      Array.stable_sort (fun a b -> Float.compare ends.(a) ends.(b)) order
+    end
+    else begin
+      for i = 0 to n - 1 do
+        let b = bucket i in
+        order.(start.(b)) <- i;
+        start.(b) <- start.(b) + 1
+      done;
+      for p = 1 to n - 1 do
+        let j = order.(p) in
+        let e = ends.(j) in
+        let q = ref p in
+        while !q > 0 && ends.(order.(!q - 1)) > e do
+          order.(!q) <- order.(!q - 1);
+          decr q
+        done;
+        order.(!q) <- j
+      done
+    end
+  end
+  else identity ();
+  order
+
 (* the departure deadline [time + holding], computed straight into its
-   float array (never boxed) *)
+   float array (never boxed), and the departure order over it *)
 let with_ends ~duration ~matrix ~bandwidths ~times ~srcs ~dsts ~holdings ~us
     ~classes =
   let n = Array.length times in
   let ends = Array.make n 0. in
   for i = 0 to n - 1 do
-    ends.(i) <- times.(i) +. holdings.(i)
+    let e = times.(i) +. holdings.(i) in
+    (* [e -. e = 0.] iff [e] is finite *)
+    if not (e -. e = 0.) then invalid_arg "Trace: a departure time overflows";
+    ends.(i) <- e
   done;
-  { times; srcs; dsts; holdings; us; ends; classes; bandwidths; duration;
-    matrix }
+  { times; srcs; dsts; holdings; us; ends; order = departure_order ends;
+    classes; bandwidths; duration; matrix }
 
-(* one Poisson generator for every trace: the (class, pair) streams are
+(* columns sized for at most this many calls up front; a larger trace
+   grows them by doubling *)
+let max_initial_calls = 1 lsl 22
+
+(* [Rng.uniform] and [Rng.exponential]'s arithmetic on one [Rng.bits53]
+   draw.  Inlined, so their floats never cross a call. *)
+let[@inline] uniform rng = float_of_int (Rng.bits53 rng) *. 0x1.p-53
+
+let[@inline] exponential rng rate = -.log (1. -. uniform rng) /. rate
+
+(* One Poisson generator for every trace: the (class, pair) streams are
    flattened, class by class in row-major pair order, into one
    inverse-cdf table over positive demands.  Per call it draws the
    stream, the holding time, the routing variate and the next gap, in
-   that order, straight into the columns (amortised doubling).  The
-   current time lives in a one-element float array so the accumulator
-   stays unboxed. *)
+   that order, straight into the columns, with the inlined arithmetic
+   above: a trace is bit for bit what those [Rng] entry points would
+   draw, and the loop allocates nothing.  The columns are sized for the
+   expected call count plus eight standard deviations, so they almost
+   never grow. *)
 let generate_classes ~rng ~duration ~bandwidths ~mean_holdings demands =
   check_duration "Trace.generate" duration;
   let nc = Array.length demands in
@@ -52,12 +130,19 @@ let generate_classes ~rng ~duration ~bandwidths ~mean_holdings demands =
   Array.iter
     (fun b -> if b < 1 then invalid_arg "Trace.generate: bandwidth < 1")
     bandwidths;
-  Array.iter
-    (fun h ->
-      if h <= 0. || not (Float.is_finite h) then
-        invalid_arg "Trace.generate: mean_holding not positive and finite")
-    mean_holdings;
-  let rates = Array.map (fun h -> 1. /. h) mean_holdings in
+  (* the inline draws skip [Rng.exponential]'s rate check: a mean
+     holding time so small that its rate overflows would hold every call
+     for zero time *)
+  let rates =
+    Array.map
+      (fun h ->
+        if h <= 0. || not (Float.is_finite h && Float.is_finite (1. /. h))
+        then
+          invalid_arg
+            "Trace.generate: mean_holding or its rate not positive and finite";
+        1. /. h)
+      mean_holdings
+  in
   let streams = ref [] in
   Array.iteri
     (fun c m ->
@@ -77,23 +162,23 @@ let generate_classes ~rng ~duration ~bandwidths ~mean_holdings demands =
       cumulative.(k) <- !acc)
     streams;
   let total = !acc in
-  let pick x =
-    (* smallest k with cumulative.(k) > x *)
-    let lo = ref 0 and hi = ref (ns - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cumulative.(mid) > x then hi := mid else lo := mid + 1
-    done;
-    !lo
+  (* an infinite total rate would draw zero gaps forever *)
+  if not (Float.is_finite total) then
+    invalid_arg "Trace.generate: total demand not finite";
+  let expected = total *. duration in
+  let cap =
+    ref
+      (int_of_float
+         (Float.min (expected +. (8. *. sqrt expected))
+            (float_of_int max_initial_calls))
+      + 16)
   in
-  let cap = ref 1024 in
   let times = ref (Array.make !cap 0.) in
   let holdings = ref (Array.make !cap 0.) in
   let us = ref (Array.make !cap 0.) in
   let srcs = ref (Array.make !cap 0) in
   let dsts = ref (Array.make !cap 0) in
   let classes = ref (Array.make !cap 0) in
-  let n = ref 0 in
   let grow () =
     let cap' = 2 * !cap in
     let extend mk a = let b = mk cap' in Array.blit a 0 b 0 !cap; b in
@@ -105,22 +190,34 @@ let generate_classes ~rng ~duration ~bandwidths ~mean_holdings demands =
     classes := extend (fun c -> Array.make c 0) !classes;
     cap := cap'
   in
-  let t = Array.make 1 (Rng.exponential rng ~rate:total) in
-  while t.(0) < duration do
-    let k = pick (Rng.float rng total) in
+  let n = ref 0 in
+  let t = ref (exponential rng total) in
+  while !t < duration do
+    let x = uniform rng *. total in
+    (* the stream: the smallest k with cumulative.(k) > x, or the last
+       one.  It lies in [base, base + len); each step halves [len] and
+       [Bool.to_int] picks the half without a branch, which would
+       mispredict at every other step *)
+    let base = ref 0 and len = ref ns in
+    while !len > 1 do
+      let half = !len / 2 in
+      base := !base + (half * Bool.to_int (cumulative.(!base + half - 1) <= x));
+      len := !len - half
+    done;
+    let k = !base in
     let c = s_class.(k) in
-    let holding = Rng.exponential rng ~rate:rates.(c) in
-    let u = Rng.uniform rng in
+    let holding = exponential rng rates.(c) in
+    let u = uniform rng in
     if !n = !cap then grow ();
     let i = !n in
-    !times.(i) <- t.(0);
+    !times.(i) <- !t;
     !holdings.(i) <- holding;
     !us.(i) <- u;
     !srcs.(i) <- s_src.(k);
     !dsts.(i) <- s_dst.(k);
     !classes.(i) <- c;
     n := i + 1;
-    t.(0) <- t.(0) +. Rng.exponential rng ~rate:total
+    t := !t +. exponential rng total
   done;
   let n = !n in
   let matrix =

@@ -30,17 +30,21 @@ type t = private {
   holdings : float array;
   us : float array;  (** routing variates *)
   ends : float array;  (** departure deadlines [times.(i) +. holdings.(i)] *)
+  order : int array;
+      (** the departure order: the call indices sorted by [ends], ties
+          in index order.  Built once per trace, so every policy that
+          replays it walks the same order (see {!Engine.run}). *)
   classes : int array;  (** class of each call, an index into [bandwidths] *)
   bandwidths : int array;  (** bandwidth of each class, [>= 1] *)
   duration : float;
   matrix : Matrix.t;  (** the demands that generated it, in calls *)
 }
 (** A trace is columns only: call [i] is the [i]-th entry of every
-    per-call array.  The float columns are unboxed, so the engine's
-    inner loop compares times and queues departures
-    ({!Event_queue.push_at} on [ends]) without boxing a single float.
-    The columns are built once, validated, at construction; treat them
-    as read-only. *)
+    per-call array, and [order] is a permutation of those indices.  The
+    float columns are unboxed, so the engine's inner loop compares
+    arrival times against departure deadlines without boxing a single
+    float.  The columns are built once, validated, at construction;
+    treat them as read-only. *)
 
 val generate :
   ?mean_holding:float -> rng:Rng.t -> duration:float -> Matrix.t -> t
@@ -48,8 +52,12 @@ val generate :
     [duration] time units, one class of bandwidth 1.  Pairs arrive with
     rate [T(i,j)] (unit-mean holding times by default, so demand in
     Erlangs equals arrival rate).
-    @raise Invalid_argument when the matrix has no positive demand, or
-    [duration] or [mean_holding] is not positive and finite. *)
+    Generation allocates nothing in the minor heap: its columns are
+    sized once, for the expected call count plus eight standard
+    deviations.
+    @raise Invalid_argument when the matrix has no positive demand, its
+    total is not finite, or [duration], [mean_holding] or
+    [1 /. mean_holding] is not positive and finite. *)
 
 val generate_classes :
   rng:Rng.t ->
@@ -65,15 +73,17 @@ val generate_classes :
     single class draws exactly what {!generate} draws.  The trace's
     [matrix] is the sum over classes.
     @raise Invalid_argument on empty or unequal class arrays, a
-    bandwidth below 1, no positive demand, or a [duration] or mean
-    holding time that is not positive and finite. *)
+    bandwidth below 1, no positive demand, a total demand that is not
+    finite, or a [duration], mean holding time or holding rate
+    ([1 /. mean_holding]) that is not positive and finite. *)
 
 val of_calls : matrix:Matrix.t -> duration:float -> call list -> t
 (** Build a single-class trace from explicit calls — deterministic
     workloads for tests and replaying externally captured arrival logs.
     Calls must be sorted by time, lie in [\[0, duration)] for a positive
     finite [duration], have positive finite holding times, [u] in
-    [\[0, 1)] and valid distinct endpoints for the matrix's node count.
+    [\[0, 1)], valid distinct endpoints for the matrix's node count and
+    a finite departure time [time +. holding].
     @raise Invalid_argument otherwise. *)
 
 val of_class_calls :

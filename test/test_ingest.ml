@@ -338,30 +338,54 @@ let with_topology_file ext text f =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let check_usage_error what args =
+(* exit 2 with one stderr line that starts with the subcommand's own
+   [prefix] and, when given, names [count] *)
+let check_usage_error ?count what ~prefix args =
   let status, stderr = run_arn args in
   Alcotest.(check bool)
     (what ^ ": exit 2") true (status = Unix.WEXITED 2);
   Alcotest.(check int)
     (what ^ ": one stderr line") 1
-    (List.length (String.split_on_char '\n' (String.trim stderr)))
+    (List.length (String.split_on_char '\n' (String.trim stderr)));
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %S starts with %S" what stderr prefix)
+    true
+    (String.starts_with ~prefix stderr);
+  Option.iter
+    (fun count ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" what stderr count)
+        true
+        (String.ends_with ~suffix:count (String.trim stderr)))
+    count
 
 let test_cli_degenerate_files () =
+  let network_cmds path =
+    [ ("simulate", [ "simulate"; "--quick"; "--topology"; path ]);
+      ("lint", [ "lint"; "--topology"; path ]) ]
+  in
   List.iter
     (fun (ext, text) ->
       with_topology_file ext text (fun path ->
           List.iter
             (fun cmd ->
-              check_usage_error (cmd ^ " " ^ ext) [ "topo"; cmd; path ])
+              check_usage_error (cmd ^ " " ^ ext) ~prefix:"arn topo: "
+                [ "topo"; cmd; path ])
             [ "import"; "stats"; "export" ];
-          check_usage_error ("simulate " ^ ext)
-            [ "simulate"; "--quick"; "--topology"; path ]))
+          List.iter
+            (fun (cmd, args) ->
+              check_usage_error (cmd ^ " " ^ ext) ~prefix:("arn " ^ cmd ^ ": ")
+                args)
+            (network_cmds path)))
     [ (".gml", "graph [ ]"); (".dot", "digraph g { }") ];
   List.iter
     (fun (ext, text) ->
       with_topology_file ext text (fun path ->
-          check_usage_error ("one-node simulate " ^ ext)
-            [ "simulate"; "--quick"; "--topology"; path ]))
+          List.iter
+            (fun (cmd, args) ->
+              check_usage_error ("one-node " ^ cmd ^ " " ^ ext)
+                ~prefix:("arn " ^ cmd ^ ": ") ~count:"got 1" args)
+            (network_cmds path)))
     [ (".gml", "graph [ node [ id 0 ] ]"); (".dot", "digraph g { a; }") ]
 
 let qcheck = QCheck_alcotest.to_alcotest

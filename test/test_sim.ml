@@ -40,6 +40,20 @@ let test_rng_exponential () =
   feq_at 0.01 "mean 1/rate" 0.25 (!total /. float_of_int n);
   check_invalid "bad rate" (fun () -> ignore (Rng.exponential r ~rate:0.))
 
+(* [bits53] is the draw behind [float], so the inline forms the trace
+   generator uses reproduce [float], [uniform] and [exponential] bit for
+   bit *)
+let test_rng_bits53 () =
+  let a = Rng.create ~seed:13 and b = Rng.create ~seed:13 in
+  let unit () = float_of_int (Rng.bits53 b) *. 0x1.p-53 in
+  for _ = 1 to 1000 do
+    feq_at 0. "float" (Rng.float a 7.5) (unit () *. 7.5);
+    feq_at 0. "uniform" (Rng.uniform a) (unit ());
+    feq_at 0. "exponential"
+      (Rng.exponential a ~rate:3.)
+      (-.log (1. -. unit ()) /. 3.)
+  done
+
 let test_rng_poisson () =
   let r = Rng.create ~seed:12 in
   let n = 5_000 in
@@ -285,16 +299,8 @@ let test_event_queue_indexed_api () =
     (Event_queue.next_due q ~deadlines 0);
   Alcotest.(check bool) "due at exactly the deadline" true
     (Event_queue.next_due q ~deadlines 1);
-  Alcotest.(check int) "the head's key is its time index" 1
-    (Event_queue.next_key q);
-  let queued = ref [] in
-  Event_queue.iter q (fun key x -> queued := (key, x) :: !queued);
-  Alcotest.(check (list (pair int string))) "iter sees every key and payload"
-    [ (0, "c"); (1, "a"); (2, "b") ]
-    (List.sort compare !queued);
   Alcotest.(check string) "payloads pop in time order" "a"
     (Event_queue.pop_payload q);
-  Alcotest.(check int) "next key" 2 (Event_queue.next_key q);
   Alcotest.(check bool) "due below deadline" true
     (Event_queue.next_due q ~deadlines 2);
   Alcotest.(check string) "second payload" "b" (Event_queue.pop_payload q);
@@ -305,10 +311,6 @@ let test_event_queue_indexed_api () =
     (Event_queue.next_due q ~deadlines 2);
   check_invalid "pop_payload on empty" (fun () ->
       ignore (Event_queue.pop_payload q : string));
-  check_invalid "next_key on empty" (fun () -> ignore (Event_queue.next_key q));
-  Event_queue.push q ~time:1. "d";
-  Alcotest.(check int) "push keys -1" (-1) (Event_queue.next_key q);
-  Event_queue.clear q;
   check_invalid "push_at non-finite" (fun () ->
       Event_queue.push_at q ~times:[| Float.nan |] 0 "x")
 
@@ -449,7 +451,16 @@ let test_trace_validation () =
           ignore (Trace.generate ~rng ~duration:x matrix));
       check_invalid ("mean_holding " ^ what) (fun () ->
           ignore (Trace.generate ~mean_holding:x ~rng ~duration:10. matrix)))
-    [ Float.nan; infinity; neg_infinity ]
+    [ Float.nan; infinity; neg_infinity ];
+  (* the generator draws inline, past [Rng.exponential]'s rate check, so
+     it checks the rates once: unchecked, the first would hold every
+     call for zero time and the second would never end *)
+  check_invalid "holding rate overflows" (fun () ->
+      ignore (Trace.generate ~mean_holding:1e-320 ~rng ~duration:10. matrix));
+  check_invalid "total rate overflows" (fun () ->
+      ignore
+        (Trace.generate ~rng ~duration:10.
+           (Matrix.uniform ~nodes:3 ~demand:1e308)))
 
 let mk_call time src dst holding =
   { Trace.time; src; dst; holding; u = 0. }
@@ -470,6 +481,11 @@ let test_trace_of_calls () =
       ignore (Trace.of_calls ~matrix ~duration:10. [ mk_call 11. 0 1 1. ]));
   check_invalid "self call" (fun () ->
       ignore (Trace.of_calls ~matrix ~duration:10. [ mk_call 1. 1 1 1. ]));
+  (* finite time and holding, infinite end: no departure order has it *)
+  check_invalid "departure overflows" (fun () ->
+      ignore
+        (Trace.of_calls ~matrix ~duration:Float.max_float
+           [ mk_call 1e308 0 1 1e308 ]));
   List.iter
     (fun duration ->
       check_invalid (Printf.sprintf "duration %g" duration) (fun () ->
@@ -784,6 +800,209 @@ let test_engine_validation () =
            trace))
 
 (* ------------------------------------------------------------------ *)
+(* the departure order and the walk over it *)
+
+(* random calls on 3 nodes whose ends tie often: integer and half
+   arrival times, some near 1e6, where a 1e-12 holding vanishes and the
+   call ends at its own arrival time *)
+let gen_calls =
+  QCheck2.Gen.(
+    let call =
+      map
+        (fun (far, slot, hold, src, hop) ->
+          ( (if far then 1e6 else 0.) +. (float_of_int slot /. 2.),
+            mk_call 0. src ((src + hop) mod 3)
+              [| 1e-12; 0.5; 1.; 2.; 3. |].(hold) ))
+        (tup5 bool (int_range 0 19) (int_range 0 4) (int_range 0 2)
+           (int_range 1 2))
+    in
+    map
+      (fun calls ->
+        List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) calls
+        |> List.map (fun (time, c) -> { c with Trace.time }))
+      (list_size (int_range 0 60) call))
+
+let walk_matrix = Matrix.uniform ~nodes:3 ~demand:1.
+let walk_duration = 1e6 +. 20.
+
+let sorted_by_end (t : Trace.t) =
+  List.sort
+    (fun a b -> compare (t.Trace.ends.(a), a) (t.Trace.ends.(b), b))
+    (List.init (Trace.call_count t) Fun.id)
+
+(* every constructor's order is the call indices sorted by (end, index),
+   both through the bucket sort and, for a trace merged with a copy
+   shifted far away, through its comparison-sort fallback *)
+let prop_trace_order =
+  QCheck2.Test.make ~count:300
+    ~name:"every constructor's order sorts calls by (end, index)"
+    QCheck2.Gen.(tup3 gen_calls gen_calls (int_range 0 1000))
+    (fun (a, b, seed) ->
+      let of_calls calls =
+        Trace.of_calls ~matrix:walk_matrix ~duration:walk_duration calls
+      in
+      let ta = of_calls a and tb = of_calls b in
+      let rng () = Rng.create ~seed in
+      let traces =
+        [ ta;
+          Trace.of_class_calls ~matrix:walk_matrix ~duration:walk_duration
+            ~bandwidths:[| 1; 2 |]
+            (List.mapi (fun i c -> (i mod 2, c)) b);
+          Trace.shift ta 0.25;
+          Trace.merge ta tb;
+          Trace.merge ta (Trace.shift tb 1e6);
+          Trace.generate ~rng:(rng ()) ~duration:20. walk_matrix;
+          Trace.generate_classes ~rng:(rng ()) ~duration:20.
+            ~bandwidths:[| 1; 2 |] ~mean_holdings:[| 1.; 0.5 |]
+            [| walk_matrix; walk_matrix |] ]
+      in
+      List.for_all
+        (fun t -> Array.to_list t.Trace.order = sorted_by_end t)
+        traces)
+
+type walk_entry = Arr of int | Dep of float * int
+
+(* Engine.run's semantics replayed with the departures in a swap heap:
+   at each arrival the script events due by it, each after the
+   departures due by its time (a FAIL drops every queued call crossing
+   its link), then the departures due by the arrival, then the
+   decision.  Returns the log, the occupancy each decision saw and the
+   FAIL drop count. *)
+let heap_replay ~graph ~script ~(policy : Engine.policy) trace =
+  let { Trace.times; ends; classes; bandwidths; duration; _ } = trace in
+  let capacity =
+    Array.map (fun (l : Link.t) -> l.Link.capacity) (Graph.links graph)
+  in
+  let occupancy = Array.make (Array.length capacity) 0 in
+  let failed = Array.make (Array.length capacity) false in
+  let heap = Swap_heap.create () in
+  let dropped = Array.make (Array.length times) false in
+  let log = ref [] and seen = ref [] and drops = ref 0 in
+  let add j ids sign =
+    let bw = sign * bandwidths.(classes.(j)) in
+    Array.iter (fun id -> occupancy.(id) <- occupancy.(id) + bw) ids
+  in
+  let release time j ids =
+    add j ids (-1);
+    log := Dep (time, j) :: !log
+  in
+  let depart_until time =
+    while heap.Swap_heap.size > 0 && heap.Swap_heap.times.(0) <= time do
+      let t, (j, ids) = Swap_heap.pop heap in
+      if not dropped.(j) then release t j ids
+    done
+  in
+  let events = Script.to_array script and cursor = ref 0 in
+  Array.iteri
+    (fun i time ->
+      while
+        !cursor < Array.length events && events.(!cursor).Script.time <= time
+      do
+        let e = events.(!cursor) in
+        let k = e.Script.link in
+        depart_until e.Script.time;
+        (match e.Script.action with
+        | Script.Fail when not failed.(k) ->
+          failed.(k) <- true;
+          for s = 0 to heap.Swap_heap.size - 1 do
+            let j, ids = Option.get heap.Swap_heap.data.(s) in
+            if (not dropped.(j)) && Array.exists (fun id -> failed.(id)) ids
+            then begin
+              release e.Script.time j ids;
+              dropped.(j) <- true;
+              incr drops
+            end
+          done;
+          occupancy.(k) <- capacity.(k)
+        | Script.Repair when failed.(k) ->
+          failed.(k) <- false;
+          occupancy.(k) <- 0
+        | Script.Fail | Script.Repair -> ());
+        incr cursor
+      done;
+      depart_until time;
+      log := Arr i :: !log;
+      seen := Array.copy occupancy :: !seen;
+      match policy.Engine.decide ~occupancy trace i with
+      | Engine.Lost -> ()
+      | Engine.Routed p ->
+        add i p.Path.link_ids 1;
+        Swap_heap.push heap ends.(i) (i, p.Path.link_ids))
+    times;
+  depart_until duration;
+  (List.rev !log, List.rev !seen, !drops)
+
+(* the same through Engine.run: the policy records the occupancy each
+   decision sees and routes every call on its own copy of the path, so a
+   [Departure]'s link array names its call *)
+let walk_replay ~observe ~graph ~script ~(policy : Engine.policy) trace =
+  let seen = ref [] and routed = ref [] and log = ref [] and arrivals = ref 0 in
+  let decide ~occupancy trace i =
+    seen := Array.copy occupancy :: !seen;
+    match policy.Engine.decide ~occupancy trace i with
+    | Engine.Lost -> Engine.Lost
+    | Engine.Routed p ->
+      let link_ids = Array.copy p.Path.link_ids in
+      routed := (link_ids, i) :: !routed;
+      Engine.Routed
+        (Path.with_link_ids_unchecked ~nodes:(Array.of_list (Path.nodes p))
+           ~link_ids)
+  in
+  let observer = function
+    | Arnet_obs.Event.Arrival _ ->
+      log := Arr !arrivals :: !log;
+      incr arrivals
+    | Arnet_obs.Event.Departure { time; links } ->
+      log := Dep (time, List.assq links !routed) :: !log
+    | _ -> ()
+  in
+  let stats =
+    Engine.run ~warmup:0.
+      ?observer:(if observe then Some observer else None)
+      ~script ~graph ~policy:{ policy with Engine.decide } trace
+  in
+  (List.rev !log, List.rev !seen, stats.Stats.dropped)
+
+(* departures between two arrivals, sorted: the walk may order calls
+   that end at one instant differently from the heap *)
+let canonical log =
+  let rec go seg = function
+    | [] -> List.sort compare seg
+    | (Arr _ as a) :: rest -> List.sort compare seg @ (a :: go [] rest)
+    | (Dep _ as d) :: rest -> go (d :: seg) rest
+  in
+  go [] log
+
+let gen_script =
+  QCheck2.Gen.(
+    list_size (int_range 0 8)
+      (map
+         (fun (far, slot, link, fail) ->
+           { Script.time =
+               (if far then 1e6 else 0.) +. (float_of_int slot /. 2.);
+             link;
+             action = (if fail then Script.Fail else Script.Repair) })
+         (tup4 bool (int_range 0 23) (int_range 0 5) bool)))
+
+let prop_walk_equals_heap =
+  let graph = Builders.full_mesh ~nodes:3 ~capacity:2 in
+  let policy = Arnet_core.Scheme.uncontrolled (Route_table.build graph) in
+  QCheck2.Test.make ~count:500
+    ~name:"the walk releases exactly what a departure heap pops"
+    QCheck2.Gen.(tup3 gen_calls gen_script bool)
+    (fun (calls, events, observe) ->
+      let trace =
+        Trace.of_calls ~matrix:walk_matrix ~duration:walk_duration calls
+      in
+      let script = Script.of_events events in
+      let want_log, want_seen, want_drops =
+        heap_replay ~graph ~script ~policy trace
+      in
+      let log, seen, drops = walk_replay ~observe ~graph ~script ~policy trace in
+      seen = want_seen && drops = want_drops
+      && ((not observe) || canonical log = canonical want_log))
+
+(* ------------------------------------------------------------------ *)
 (* replication: one trace per seed through every policy, frozen *)
 
 let replication_seeds = [ 1; 2; 3; 4; 5 ]
@@ -924,6 +1143,7 @@ let () =
         [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "substreams" `Quick test_rng_substreams;
           Alcotest.test_case "exponential" `Quick test_rng_exponential;
+          Alcotest.test_case "bits53" `Quick test_rng_bits53;
           Alcotest.test_case "poisson" `Quick test_rng_poisson ] );
       ( "event-queue",
         [ Alcotest.test_case "ordering" `Quick test_event_queue_ordering;
@@ -945,7 +1165,8 @@ let () =
           Alcotest.test_case "of_calls" `Quick test_trace_of_calls;
           Alcotest.test_case "shift/merge" `Quick test_trace_shift_merge;
           Alcotest.test_case "shift/merge edge cases" `Quick
-            test_trace_shift_merge_edges ] );
+            test_trace_shift_merge_edges;
+          QCheck_alcotest.to_alcotest prop_trace_order ] );
       ( "stats",
         [ Alcotest.test_case "counters" `Quick test_stats_counters;
           Alcotest.test_case "merge" `Quick test_stats_merge;
@@ -964,7 +1185,8 @@ let () =
             test_engine_alternate_accounting;
           Alcotest.test_case "determinism/replication" `Quick
             test_engine_determinism_and_replication;
-          Alcotest.test_case "validation" `Quick test_engine_validation ] );
+          Alcotest.test_case "validation" `Quick test_engine_validation;
+          QCheck_alcotest.to_alcotest prop_walk_equals_heap ] );
       ( "replication",
         [ Alcotest.test_case "quadrangle golden" `Quick
             test_replication_quadrangle_golden;
