@@ -1,5 +1,7 @@
-(* Reproduction harness: one section per table/figure of the paper, plus
-   Bechamel micro-benchmarks of the computational kernels.
+(* Reproduction harness: one section per table/figure of the paper,
+   plus the extensions, the daemon and the route compiler.  It prints
+   the tables that EXPERIMENTS.md records; speed is measured by the
+   repository benchmark in perfbench/, not here.
 
    Usage: main.exe [section ...]
      sections: fig1 fig2 fig3 fig4 fig5 table1 fig6 fig7
@@ -7,13 +9,10 @@
                exp_ablation exp_overload ext_cellular ext_multirate
                ext_bistability ext_signalling ext_random_mesh ext_analytic
                ext_optimality ext_dimensioning ext_failure serve storm
-               serve_scaling compile perf
+               compile
      default: all of them.
    Environment: ARNET_QUICK=1 for a fast pass (3 seeds, short window),
-   ARNET_SEEDS=n to override the seed count, ARNET_COMPILE_NODES=a,b,c
-   for the compile-sweep mesh sizes (default 100,500,1000),
-   ARNET_BENCH_JSON=path for the run record (default BENCH_10.json) —
-   compare records across versions with `arn bench diff`. *)
+   ARNET_SEEDS=n to override the seed count. *)
 
 open Arnet_experiments
 
@@ -396,18 +395,13 @@ let ext_failure () =
 (* ------------------------------------------------------------------ *)
 (* the admission-control daemon, measured over its own wire *)
 
-(* stashed by the serve section for the machine-readable run record *)
-let serve_result : Arnet_service.Loadgen.result option ref = ref None
+(* calls each daemon section plays against the daemon *)
+let daemon_calls = 20_000
 
 let serve () =
   Report.section ppf ~id:"serve"
     ~title:"arnet_service daemon: wire requests/sec over a Unix socket";
   let module Service = Arnet_service in
-  let calls =
-    match Option.bind (Sys.getenv_opt "ARNET_SERVE_CALLS") int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | _ -> 20_000
-  in
   let g = Arnet_topology.Builders.full_mesh ~nodes:4 ~capacity:20 in
   let matrix =
     Arnet_traffic.Matrix.uniform
@@ -434,9 +428,9 @@ let serve () =
          with _ -> ());
         Thread.join server)
       (fun () ->
-        Service.Loadgen.run ~retry_for:5. ~seed:42 ~calls ~matrix ~addr ())
+        Service.Loadgen.run ~retry_for:5. ~seed:42 ~calls:daemon_calls ~matrix
+          ~addr ())
   in
-  serve_result := Some result;
   Format.fprintf ppf "%a@." Service.Loadgen.print result;
   Report.paper_vs_measured ppf ~what:"daemon vs batch simulator decisions"
     ~paper:"(extension) same two-tier rule, call-by-call"
@@ -446,21 +440,11 @@ let serve () =
          (Service.Loadgen.requests_per_second result))
 
 (* the daemon again, now riding out a scripted failure storm while the
-   same Poisson load plays against it: the availability record for
-   cross-version comparison *)
-let storm_result :
-    (Arnet_service.Loadgen.result * Arnet_service.Wire.stats * int) option ref =
-  ref None
-
+   same Poisson load plays against it *)
 let storm () =
   Report.section ppf ~id:"storm"
     ~title:"arnet_service daemon availability under a scripted failure storm";
   let module Service = Arnet_service in
-  let calls =
-    match Option.bind (Sys.getenv_opt "ARNET_STORM_CALLS") int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | _ -> 20_000
-  in
   let g = Arnet_topology.Builders.full_mesh ~nodes:4 ~capacity:20 in
   let matrix =
     Arnet_traffic.Matrix.uniform
@@ -470,7 +454,7 @@ let storm () =
   (* the load spans about calls/total virtual time units; draw the storm
      over 80% of that so failures (and most repairs) land while SETUPs
      are still advancing the daemon's virtual clock *)
-  let span = float_of_int calls /. Arnet_traffic.Matrix.total matrix in
+  let span = float_of_int daemon_calls /. Arnet_traffic.Matrix.total matrix in
   let script =
     Arnet_failure.Model.independent
       ~rng:(Arnet_sim.Rng.substream (Arnet_sim.Rng.create ~seed:42) "storm")
@@ -496,11 +480,11 @@ let storm () =
          with _ -> ());
         Thread.join server)
       (fun () ->
-        Service.Loadgen.run ~retry_for:5. ~seed:42 ~calls ~matrix ~addr ())
+        Service.Loadgen.run ~retry_for:5. ~seed:42 ~calls:daemon_calls ~matrix
+          ~addr ())
   in
   (* the server thread is joined: the drained state is safe to read *)
   let stats = Service.State.stats state in
-  storm_result := Some (result, stats, Arnet_sim.Script.length script);
   Format.fprintf ppf "%a@." Service.Loadgen.print result;
   Format.fprintf ppf
     "storm      dropped %d in-flight, %d failovers, %d links still down@."
@@ -515,120 +499,15 @@ let storm () =
          /. float_of_int result.Service.Loadgen.calls)
          result.Service.Loadgen.calls stats.Service.Wire.failovers)
 
-(* the service plane again, across batch depth: binary framing
-   amortizes syscalls and parsing per frame over the same decision
-   core.  The batch-32 2x-over-line floor is asserted on every run *)
-
-let scaling_batches : (int * float) list ref = ref []
-let scaling_speedup : float option ref = ref None
-
-let serve_scaling () =
-  Report.section ppf ~id:"serve_scaling"
-    ~title:
-      "arnet_service scaling: binary batching (req/s over a Unix socket)";
-  let module Service = Arnet_service in
-  let calls =
-    match Option.bind (Sys.getenv_opt "ARNET_SERVE_CALLS") int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | _ -> 20_000
-  in
-  let g = Arnet_topology.Builders.full_mesh ~nodes:4 ~capacity:20 in
-  let matrix =
-    Arnet_traffic.Matrix.uniform
-      ~nodes:(Arnet_topology.Graph.node_count g)
-      ~demand:15.
-  in
-  let counter = ref 0 in
-  let measure ~binary ~batch =
-    incr counter;
-    let addr =
-      Service.Server.Unix_sock
-        (Filename.concat (Filename.get_temp_dir_name ())
-           (Printf.sprintf "arnet-scale-%d-%d.sock" (Unix.getpid ()) !counter))
-    in
-    let state = Service.State.create ~matrix g in
-    let server = Thread.create (fun () -> Service.Server.serve ~state addr) () in
-    let result =
-      Fun.protect
-        ~finally:(fun () ->
-          (try
-             let ic, oc = Service.Server.connect ~retry_for:5. addr in
-             ignore (Service.Server.request ic oc Service.Wire.Drain);
-             close_out_noerr oc;
-             ignore ic
-           with _ -> ());
-          Thread.join server)
-        (fun () ->
-          Service.Loadgen.run ~retry_for:5. ~binary ~batch ~seed:42 ~calls
-            ~matrix ~addr ())
-    in
-    Service.Loadgen.requests_per_second result
-  in
-  (* one connection: pure framing and pipelining gain *)
-  let line_rps = measure ~binary:false ~batch:1 in
-  Format.fprintf ppf "  line protocol, 1 conn: %10.0f req/s@." line_rps;
-  Format.fprintf ppf "  %8s %12s %9s@." "batch" "req/s" "vs line";
-  scaling_batches :=
-    List.map
-      (fun batch ->
-        let rps = measure ~binary:true ~batch in
-        Format.fprintf ppf "  %8d %12.0f %8.1fx@." batch rps
-          (rps /. Float.max 1e-9 line_rps);
-        (batch, rps))
-      [ 1; 8; 32; 128 ];
-  let binary_rps =
-    match List.assoc_opt 32 !scaling_batches with
-    | Some rps -> rps
-    | None -> assert false
-  in
-  let speedup = binary_rps /. Float.max 1e-9 line_rps in
-  scaling_speedup := Some speedup;
-  (* the headline guarantee: a batch of 32 amortizes enough syscall and
-     parse work to at least double single-connection throughput *)
-  if speedup < 2.0 then
-    failwith
-      (Printf.sprintf
-         "serve_scaling bench: binary batch=32 is %.2fx the line protocol \
-          (floor is 2x)"
-         speedup);
-  Report.paper_vs_measured ppf ~what:"service-plane scaling"
-    ~paper:
-      "(extension) signalling cost, not the routing rule, bounds \
-       call-handling throughput"
-    ~measured:
-      (Printf.sprintf
-         "batch=32 binary framing is %.1fx the line protocol on one \
-          connection"
-         speedup)
-
 (* ------------------------------------------------------------------ *)
-(* route compilation at ISP scale: the per-pair pipeline vs the memoized
-   builder vs the incremental patch *)
-
-type compile_row = {
-  cr_nodes : int;
-  cr_links : int;
-  cr_pairs : int;
-  cr_reference_s : float;
-  cr_memoized_s : float;
-  cr_patch_s : float;
-  cr_patch_recomputed : int;
-}
-
-let compile_rows : compile_row list ref = ref []
+(* route compilation at ISP scale: the memoized builder vs the
+   incremental patch *)
 
 let compile () =
   Report.section ppf ~id:"compile"
-    ~title:
-      "Route compilation at ISP scale: per-pair vs memoized vs incremental";
+    ~title:"Route compilation at ISP scale: memoized vs incremental";
   let module Ingest = Arnet_ingest in
   let module RT = Arnet_paths.Route_table in
-  let sizes =
-    match Sys.getenv_opt "ARNET_COMPILE_NODES" with
-    | None -> [ 100; 500; 1000 ]
-    | Some s ->
-      List.filter_map int_of_string_opt (String.split_on_char ',' s)
-  in
   (* unbounded H enumerates exponentially many loop-free alternates on a
      sparse 1000-node mesh; a deployment at this scale caps the
      alternate hop length, so the sweep does too *)
@@ -639,125 +518,38 @@ let compile () =
     (v, Unix.gettimeofday () -. t0)
   in
   Format.fprintf ppf "  H = %d alternate hops, degree-4 gravity meshes@." h;
-  Format.fprintf ppf "  %6s %6s %9s %9s %9s %8s@." "nodes" "links" "ref-s"
-    "memo-s" "patch-s" "recomp";
-  List.iter
-    (fun nodes ->
-      let t = Ingest.Mesh.random_mesh ~nodes () in
-      let g = t.Ingest.Topo.graph in
-      let reference, cr_reference_s =
-        time (fun () -> RT.build_reference ~h g)
-      in
-      let memoized, cr_memoized_s = time (fun () -> RT.build ~h g) in
-      (* the headline guarantees, asserted on every run: the memoized
-         builder reproduces the per-pair oracle path for path, and
-         patching a removal back in restores the table *)
-      if not (RT.equal reference memoized) then
-        failwith "compile bench: memoized build differs from the oracle";
-      let l = (Arnet_topology.Graph.links g).(0) in
-      let src = l.Arnet_topology.Link.src
-      and dst = l.Arnet_topology.Link.dst
-      and capacity = l.Arnet_topology.Link.capacity in
-      let (patched, cr_patch_recomputed), cr_patch_s =
-        time (fun () -> RT.patch memoized [ RT.Remove_link { src; dst } ])
-      in
-      let restored, _ = RT.patch patched [ RT.Add_link { src; dst; capacity } ] in
-      if not (RT.equal restored memoized) then
-        failwith "compile bench: patch round-trip lost routes";
-      Format.fprintf ppf "  %6d %6d %9.2f %9.2f %9.2f %8d@." nodes
-        (Arnet_topology.Graph.link_count g)
-        cr_reference_s cr_memoized_s cr_patch_s cr_patch_recomputed;
-      compile_rows :=
-        { cr_nodes = nodes;
-          cr_links = Arnet_topology.Graph.link_count g;
-          cr_pairs = nodes * (nodes - 1);
-          cr_reference_s;
-          cr_memoized_s;
-          cr_patch_s;
-          cr_patch_recomputed }
-        :: !compile_rows)
-    sizes;
-  compile_rows := List.rev !compile_rows;
-  match List.rev !compile_rows with
+  Format.fprintf ppf "  %6s %6s %9s %9s %8s@." "nodes" "links" "memo-s"
+    "patch-s" "recomp";
+  let row nodes =
+    let t = Ingest.Mesh.random_mesh ~nodes () in
+    let g = t.Ingest.Topo.graph in
+    let memoized, memoized_s = time (fun () -> RT.build ~h g) in
+    (* asserted on every run: patching a removal back in restores the
+       table *)
+    let l = (Arnet_topology.Graph.links g).(0) in
+    let src = l.Arnet_topology.Link.src
+    and dst = l.Arnet_topology.Link.dst
+    and capacity = l.Arnet_topology.Link.capacity in
+    let (patched, recomputed), patch_s =
+      time (fun () -> RT.patch memoized [ RT.Remove_link { src; dst } ])
+    in
+    let restored, _ = RT.patch patched [ RT.Add_link { src; dst; capacity } ] in
+    if not (RT.equal restored memoized) then
+      failwith "compile bench: patch round-trip lost routes";
+    Format.fprintf ppf "  %6d %6d %9.2f %9.2f %8d@." nodes
+      (Arnet_topology.Graph.link_count g)
+      memoized_s patch_s recomputed;
+    (nodes, memoized_s, patch_s)
+  in
+  match List.rev (List.map row [ 100; 500; 1000 ]) with
   | [] -> ()
-  | biggest :: _ ->
+  | (nodes, memoized_s, patch_s) :: _ ->
     Report.paper_vs_measured ppf
       ~what:"recompilation cost at the largest mesh"
       ~paper:"(extension) full per-pair rebuilds cannot track topology"
       ~measured:
-        (Printf.sprintf
-           "%d nodes: memoized %.1fx, single-link patch %.1fx faster \
-            than the sequential full rebuild"
-           biggest.cr_nodes
-           (biggest.cr_reference_s /. Float.max 1e-9 biggest.cr_memoized_s)
-           (biggest.cr_reference_s /. Float.max 1e-9 biggest.cr_patch_s))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the kernels *)
-
-let perf () =
-  Report.section ppf ~id:"perf" ~title:"Kernel micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let g = Arnet_topology.Nsfnet.graph () in
-  let routes = lazy (Arnet_paths.Route_table.build g) in
-  let matrix =
-    lazy (snd (Internet.nominal ()))
-  in
-  let trace =
-    lazy
-      (Arnet_sim.Trace.generate
-         ~rng:(Arnet_sim.Rng.create ~seed:42)
-         ~duration:5. (Lazy.force matrix))
-  in
-  let tests =
-    Test.make_grouped ~name:"kernels"
-      [ Test.make ~name:"erlang-blocking-table-c100"
-          (Staged.stage (fun () ->
-               Arnet_erlang.Erlang_b.blocking_table ~offered:80. ~capacity:100));
-        Test.make ~name:"protection-level-c100-h11"
-          (Staged.stage (fun () ->
-               Arnet_core.Protection.level ~offered:80. ~capacity:100 ~h:11));
-        Test.make ~name:"route-table-nsfnet-h11"
-          (Staged.stage (fun () -> Arnet_paths.Route_table.build g));
-        Test.make ~name:"simple-paths-0-to-6"
-          (Staged.stage (fun () ->
-               Arnet_paths.Enumerate.simple_paths g ~src:0 ~dst:6));
-        Test.make ~name:"erlang-cutset-bound-nsfnet"
-          (Staged.stage (fun () ->
-               Arnet_bound.Erlang_bound.compute g (Lazy.force matrix)));
-        Test.make ~name:"simulate-5tu-nominal-controlled"
-          (Staged.stage (fun () ->
-               let routes = Lazy.force routes in
-               Arnet_sim.Engine.run ~warmup:1. ~graph:g
-                 ~policy:
-                   (Arnet_core.Scheme.controlled_auto
-                      ~matrix:(Lazy.force matrix) routes)
-                 (Lazy.force trace))) ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      let est =
-        match Analyze.OLS.estimates o with
-        | Some [ e ] -> Printf.sprintf "%12.0f ns/run" e
-        | _ -> "(no estimate)"
-      in
-      let r2 =
-        match Analyze.OLS.r_square o with
-        | Some r -> Printf.sprintf "r2=%.3f" r
-        | None -> ""
-      in
-      Format.fprintf ppf "  %-42s %s %s@." name est r2)
-    (List.sort compare rows)
+        (Printf.sprintf "%d nodes: memoized build %.1fs, single-link patch %.1fs"
+           nodes memoized_s patch_s)
 
 let sections =
   [ ("fig1", fig1); ("fig2", fig2); ("fig3", fig3); ("fig4", fig4);
@@ -770,11 +562,7 @@ let sections =
     ("ext_signalling", ext_signalling); ("ext_random_mesh", ext_random_mesh);
     ("ext_analytic", ext_analytic); ("ext_optimality", ext_optimality);
     ("ext_dimensioning", ext_dimensioning); ("ext_failure", ext_failure);
-    ("serve", serve); ("storm", storm); ("serve_scaling", serve_scaling);
-    ("perf", perf);
-    (* last: the big route tables it builds bloat the major heap, which
-       would tax the Bechamel stabilization passes of [perf] *)
-    ("compile", compile) ]
+    ("serve", serve); ("storm", storm); ("compile", compile) ]
 
 let () =
   let requested =
@@ -787,103 +575,11 @@ let () =
      reproduction harness@.";
   Format.fprintf ppf "configuration: %s@."
     (Config.describe (Lazy.force config));
-  let recorder = Arnet_obs.Span.recorder () in
-  let calls_at_start = Arnet_sim.Engine.calls_simulated () in
   List.iter
     (fun name ->
       match List.assoc_opt name sections with
-      | Some f -> Report.timed recorder name f
+      | Some f -> f ()
       | None ->
         Format.fprintf ppf "unknown section %S (available: %s)@." name
           (String.concat " " (List.map fst sections)))
-    requested;
-  (* machine-readable run record: per-section wall clock, simulated
-     calls and throughput — the input for cross-version perf tracking *)
-  let module J = Arnet_obs.Jsonu in
-  let spans = Arnet_obs.Span.spans recorder in
-  let total_wall =
-    List.fold_left (fun acc s -> acc +. Arnet_obs.Span.elapsed s) 0. spans
-  in
-  let total_calls = Arnet_sim.Engine.calls_simulated () - calls_at_start in
-  let doc =
-    J.Obj
-      ([ ("configuration", J.String (Config.describe (Lazy.force config)));
-         ("sections", Arnet_obs.Span.recorder_to_json recorder);
-         ("total_wall_s", J.Float total_wall);
-         ("total_calls", J.Int total_calls);
-         ("total_calls_per_s",
-          J.Float
-            (if total_wall > 0. then float_of_int total_calls /. total_wall
-             else 0.)) ]
-      @ (match !serve_result with
-        | None -> []
-        | Some r -> [ ("service", Arnet_service.Loadgen.to_json r) ])
-      @ (match !scaling_speedup with
-        | None -> []
-        | Some speedup ->
-          [ ("serve_scaling",
-             J.Obj
-               [ ("binary_speedup", J.Float speedup);
-                 ("batch_sweep",
-                  J.List
-                    (List.map
-                       (fun (batch, rps) ->
-                         J.Obj
-                           [ ("batch", J.Int batch);
-                             ("requests_per_s", J.Float rps) ])
-                       !scaling_batches)) ]) ])
-      @ (match !compile_rows with
-        | [] -> []
-        | rows ->
-          [ ("compile",
-             J.List
-               (List.map
-                  (fun r ->
-                    J.Obj
-                      [ ("nodes", J.Int r.cr_nodes);
-                        ("links", J.Int r.cr_links);
-                        ("pairs", J.Int r.cr_pairs);
-                        ("reference_s", J.Float r.cr_reference_s);
-                        ("memoized_s", J.Float r.cr_memoized_s);
-                        ("patch_s", J.Float r.cr_patch_s);
-                        ("patch_recomputed", J.Int r.cr_patch_recomputed);
-                        ("memoized_speedup",
-                         J.Float
-                           (r.cr_reference_s
-                           /. Float.max 1e-9 r.cr_memoized_s));
-                        ("patch_speedup",
-                         J.Float
-                           (r.cr_reference_s /. Float.max 1e-9 r.cr_patch_s))
-                      ])
-                  rows)) ])
-      @
-      match !storm_result with
-      | None -> []
-      | Some (r, stats, events) ->
-        [ ("storm",
-           J.Obj
-             [ ("script_events", J.Int events);
-               ("calls", J.Int r.Arnet_service.Loadgen.calls);
-               ("accepted", J.Int r.Arnet_service.Loadgen.accepted);
-               ("blocked", J.Int r.Arnet_service.Loadgen.blocked);
-               ("errors", J.Int r.Arnet_service.Loadgen.errors);
-               ("dropped", J.Int stats.Arnet_service.Wire.dropped);
-               ("failovers", J.Int stats.Arnet_service.Wire.failovers);
-               ("failed_links_at_drain",
-                J.Int (List.length stats.Arnet_service.Wire.failed));
-               ("availability",
-                J.Float
-                  (float_of_int r.Arnet_service.Loadgen.accepted
-                  /. float_of_int r.Arnet_service.Loadgen.calls));
-               ("requests_per_s",
-                J.Float (Arnet_service.Loadgen.requests_per_second r)) ]) ])
-  in
-  let path =
-    Option.value ~default:"BENCH_10.json" (Sys.getenv_opt "ARNET_BENCH_JSON")
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Format.fprintf ppf "@.wrote %s (%d sections, %.1fs wall, %d calls)@." path
-    (List.length spans) total_wall total_calls
+    requested

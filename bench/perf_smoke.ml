@@ -199,10 +199,10 @@ let allocation_check () =
   check_replay "two-class controlled" ~graph:g ~policy two_class
 
 (* the observed scheme allocates its events, and the adaptive one its
-   estimator feed: about 10% above the 68.4 and 8.10 words per call they
+   estimator feed: about 10% above the 68.4 and 5.52 words per call they
    allocate *)
 let observed_words_ceiling = 75.0
-let adaptive_words_ceiling = 9.0
+let adaptive_words_ceiling = 6.1
 
 let custom_decide_check () =
   let routes, matrix = Internet.nominal () in

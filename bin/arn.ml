@@ -1530,81 +1530,6 @@ let load_cmd =
       $ connections $ scale $ demand $ no_timestamps $ retry_for $ json
       $ drain $ binary $ batch)
 
-(* ------------------------------------------------------------------ *)
-(* arn bench *)
-
-let bench_diff_cmd =
-  let old_file =
-    let doc = "Baseline BENCH_*.json document ($(b,-) reads stdin)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD" ~doc)
-  in
-  let new_file =
-    let doc = "Candidate BENCH_*.json document ($(b,-) reads stdin)." in
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc)
-  in
-  let tolerance =
-    let doc =
-      "Regression tolerance in percent: throughputs may drop and \
-       allocation rates rise by up to $(docv) before the exit status \
-       turns nonzero."
-    in
-    Arg.(value & opt float 10. & info [ "tolerance" ] ~docv:"PCT" ~doc)
-  in
-  let json =
-    let doc = "Emit the comparison as JSON instead of the delta table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let read_doc name =
-    let contents =
-      if name = "-" then In_channel.input_all Stdlib.stdin
-      else In_channel.with_open_bin name In_channel.input_all
-    in
-    Obs.Jsonu.parse contents
-  in
-  let run old_file new_file tolerance json =
-    if old_file = "-" && new_file = "-" then begin
-      Printf.eprintf "arn bench diff: only one input can be stdin\n";
-      exit 2
-    end;
-    let doc name =
-      try read_doc name with
-      | Sys_error msg ->
-        Printf.eprintf "arn bench diff: %s\n" msg;
-        exit 2
-      | Obs.Jsonu.Parse_error msg ->
-        Printf.eprintf "arn bench diff: %s: %s\n" name msg;
-        exit 2
-    in
-    let old_doc = doc old_file in
-    let new_doc = doc new_file in
-    let report =
-      try
-        Arnet_experiments.Bench_diff.compare ~tolerance ~old_doc ~new_doc ()
-      with
-      | Obs.Jsonu.Parse_error msg | Invalid_argument msg ->
-        Printf.eprintf "arn bench diff: %s\n" msg;
-        exit 2
-    in
-    if json then
-      print_endline
-        (Obs.Jsonu.to_string (Arnet_experiments.Bench_diff.to_json report))
-    else Format.fprintf ppf "%a" Arnet_experiments.Bench_diff.print report;
-    if Arnet_experiments.Bench_diff.regressions report <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two BENCH_*.json documents (calls/s, req/s, minor \
-          words/call) and exit nonzero on a regression past the \
-          tolerance")
-    Term.(const run $ old_file $ new_file $ tolerance $ json)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Operate on the bench trajectory (BENCH_*.json documents)")
-    [ bench_diff_cmd ]
-
 let () =
   let info =
     Cmd.info "arn" ~version:"1.0.0"
@@ -1616,7 +1541,6 @@ let () =
     Cmd.group info
       [ erlang_cmd; protection_cmd; paths_cmd; topology_cmd; fit_cmd;
         bound_cmd; topo_cmd; simulate_cmd; experiment_cmd; dalfar_cmd; spec_cmd;
-        lint_cmd; adaptive_cmd; mdp_cmd; trace_cmd; serve_cmd; load_cmd;
-        bench_cmd ]
+        lint_cmd; adaptive_cmd; mdp_cmd; trace_cmd; serve_cmd; load_cmd ]
   in
   exit (Cmd.eval group)

@@ -1,12 +1,18 @@
+(* The three running floats (window start, moving average, last time)
+   live in one float array, stored unboxed: a mutable float field of a
+   mixed record would allocate a box on every write, that is on every
+   observed set-up. *)
+let window_start = 0
+let ewma = 1
+let last_time = 2
+
 type t = {
   window : float;
   smoothing : float;
   mean_holding : float;
-  mutable window_start : float;
+  running : float array;
   mutable count : int;
-  mutable ewma : float;
   mutable observations : int;
-  mutable last_time : float;
 }
 
 let create ?(window = 5.) ?(smoothing = 0.3) ?(mean_holding = 1.)
@@ -20,33 +26,33 @@ let create ?(window = 5.) ?(smoothing = 0.3) ?(mean_holding = 1.)
   { window;
     smoothing;
     mean_holding;
-    window_start = 0.;
+    running = [| 0.; initial; 0. |];
     count = 0;
-    ewma = initial;
-    observations = 0;
-    last_time = 0. }
+    observations = 0 }
 
 (* fold every window that has fully elapsed by [now] into the average *)
 let roll t ~now =
-  while now >= t.window_start +. t.window do
+  let r = t.running in
+  while now >= r.(window_start) +. t.window do
     let rate = float_of_int t.count /. t.window in
-    t.ewma <- (t.smoothing *. rate) +. ((1. -. t.smoothing) *. t.ewma);
+    r.(ewma) <- (t.smoothing *. rate) +. ((1. -. t.smoothing) *. r.(ewma));
     t.count <- 0;
-    t.window_start <- t.window_start +. t.window
+    r.(window_start) <- r.(window_start) +. t.window
   done
 
 let observe t ~now =
-  if now < t.last_time then invalid_arg "Estimator.observe: time ran backwards";
-  t.last_time <- now;
+  if now < t.running.(last_time) then
+    invalid_arg "Estimator.observe: time ran backwards";
+  t.running.(last_time) <- now;
   roll t ~now;
   t.count <- t.count + 1;
   t.observations <- t.observations + 1
 
 let estimate t ~now =
-  if now >= t.last_time then begin
-    t.last_time <- now;
+  if now >= t.running.(last_time) then begin
+    t.running.(last_time) <- now;
     roll t ~now
   end;
-  t.ewma *. t.mean_holding
+  t.running.(ewma) *. t.mean_holding
 
 let observations t = t.observations

@@ -127,9 +127,10 @@ let controlled_adaptive ?h ?window ?smoothing ?(refresh = 10.) ?initial_loads
        path, whether or not the call completes *)
     (match plan.Controller.plan_primary with
     | Some primary ->
-      Array.iter
-        (fun k -> Estimator.observe estimators.(k) ~now)
-        primary.Path.link_ids
+      let ids = primary.Path.link_ids in
+      for j = 0 to Array.length ids - 1 do
+        Estimator.observe estimators.(ids.(j)) ~now
+      done
     | None -> ());
     if now >= !next_refresh then begin
       Array.iteri

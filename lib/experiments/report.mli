@@ -21,16 +21,3 @@ val paper_vs_measured :
 
 val pct : float -> string
 (** Blocking probability as a percentage with sensible precision. *)
-
-val timed : Arnet_obs.Span.recorder -> string -> (unit -> 'a) -> 'a
-(** Run a harness section under a wall-clock span, tagging it with the
-    number of simulated calls replayed while it ran ([calls], from
-    [Engine.calls_simulated]) and the implied [calls_per_s].  Each
-    span also carries the GC dimension: [minor_words] and
-    [major_words] ([Gc.quick_stat] deltas over the section, in words)
-    and, when any calls were simulated, the derived
-    [minor_words_per_call] — so allocation regressions in the hot path
-    show up in the bench trajectory, not just wall-clock.  Note the
-    deltas cover the whole section (trace generation, table builds and
-    reporting included), not the engine loop alone.  The span is
-    recorded (and the odometer read) even when the section raises. *)

@@ -193,6 +193,17 @@ let is_control = function
 
 type source = Line of string | Parsed of Wire.command
 
+(* a fresh non-decreasing clock for command latencies: the wall clock
+   clamped to its own high-water mark, so a backwards step (NTP slew,
+   VM migration) reads as a zero-length interval rather than a negative
+   latency *)
+let monotonic () =
+  let last = ref (Unix.gettimeofday ()) in
+  fun () ->
+    let t = Unix.gettimeofday () in
+    if t > !last then last := t;
+    !last
+
 (* The decision core: [handle_line]/[handle_batch] parse (lines),
    decide through {!Session}, account metrics and the tap, and write
    the reply.  A peer that vanished mid-reply costs its connection,
@@ -458,7 +469,7 @@ let serve ?metrics ?telemetry ?(logger = Arnet_obs.Logger.null) ?snapshot
       Log.info logger "telemetry listening"
         ~fields:[ ("addr", J.String (addr_to_string taddr)) ])
     telemetry;
-  let clock = Arnet_obs.Span.monotonic () in
+  let clock = monotonic () in
   let epoch = ref 0 in
   let routes = telemetry_routes ~metrics ~state ~epoch in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in

@@ -290,10 +290,12 @@ let setup t ~src ~dst ~time =
         let primary_alive = path_alive t primary in
         (* every link of an intact primary path sees the set-up packet,
            admitted or not — the estimator feed of Section 1 *)
-        if primary_alive then
-          Array.iter
-            (fun k -> Estimator.observe t.estimators.(k) ~now)
-            primary.Path.link_ids;
+        if primary_alive then begin
+          let ids = primary.Path.link_ids in
+          for j = 0 to Array.length ids - 1 do
+            Estimator.observe t.estimators.(ids.(j)) ~now
+          done
+        end;
         let occupancy = t.occupancy in
         let outcome =
           Controller.route t.admission ~allow_alternates:true ~occupancy

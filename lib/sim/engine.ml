@@ -10,7 +10,8 @@ type policy = {
 }
 
 (* process-wide odometer: one Array.length per run, so the per-call hot
-   path pays nothing; benchmarks read the delta to report calls/sec *)
+   path pays nothing; the allocation checks read the delta to count
+   calls *)
 let simulated_calls = ref 0
 
 let calls_simulated () = !simulated_calls

@@ -80,8 +80,8 @@ val run :
 
 val calls_simulated : unit -> int
 (** Process-wide total of trace calls replayed by {!run} — a free-running
-    odometer for benchmark harnesses (calls/sec over a wall-clock span).
-    Monotonic and never reset. *)
+    odometer: the allocation checks divide a sweep's minor words by its
+    delta.  Monotonic and never reset. *)
 
 val replicate :
   ?warmup:float ->

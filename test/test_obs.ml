@@ -1,5 +1,5 @@
 (* The observability subsystem: JSON encoding, event round-trips, the
-   sinks (ring, JSONL, counters, metrics), spans — and the load-bearing
+   sinks (ring, JSONL, counters, metrics) — and the load-bearing
    property that a counter sink fed by an observed run reproduces the
    run's Stats exactly. *)
 
@@ -566,43 +566,6 @@ let test_metrics_sink () =
   check_contains "throughput gauge rendered" text "arnet_events_per_second"
 
 (* ------------------------------------------------------------------ *)
-(* Span *)
-
-let test_span () =
-  let s = Obs.Span.start "phase" in
-  Alcotest.(check bool) "running" false (Obs.Span.finished s);
-  let d = Obs.Span.stop s in
-  Alcotest.(check bool) "finished" true (Obs.Span.finished s);
-  Alcotest.(check bool) "non-negative" true (d >= 0.);
-  Alcotest.(check (float 0.)) "stop is idempotent" d (Obs.Span.stop s);
-  Alcotest.(check (float 0.)) "elapsed frozen" d (Obs.Span.elapsed s);
-  Obs.Span.set_meta s "calls" (J.Int 1);
-  Obs.Span.set_meta s "calls" (J.Int 2);
-  let json = Obs.Span.to_json s in
-  Alcotest.(check string) "name serialized" "phase"
-    (J.as_string (J.member_exn "name" json));
-  Alcotest.(check bool) "wall clock serialized" true
-    (J.as_float (J.member_exn "wall_s" json) >= 0.);
-  Alcotest.(check int) "meta replaced, not duplicated" 2
-    (J.as_int (J.member_exn "calls" json))
-
-let test_span_recorder () =
-  let r = Obs.Span.recorder () in
-  let x = Obs.Span.record r "first" (fun () -> 41 + 1) in
-  Alcotest.(check int) "record returns the result" 42 x;
-  (match Obs.Span.record r "second" (fun () -> failwith "boom") with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "exception should propagate");
-  match Obs.Span.spans r with
-  | [ a; b ] ->
-    Alcotest.(check string) "order kept" "first" (Obs.Span.name a);
-    Alcotest.(check string) "raising phase still recorded" "second"
-      (Obs.Span.name b);
-    Alcotest.(check bool) "both finished" true
-      (Obs.Span.finished a && Obs.Span.finished b)
-  | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
-
-(* ------------------------------------------------------------------ *)
 (* exposition escaping *)
 
 let test_escaping_goldens () =
@@ -823,7 +786,4 @@ let () =
           Alcotest.test_case "wire rendering" `Quick test_http_render ] );
       ( "logger",
         [ Alcotest.test_case "text format" `Quick test_logger_text;
-          Alcotest.test_case "jsonl format" `Quick test_logger_jsonl ] );
-      ( "spans",
-        [ Alcotest.test_case "span lifecycle" `Quick test_span;
-          Alcotest.test_case "recorder" `Quick test_span_recorder ] ) ]
+          Alcotest.test_case "jsonl format" `Quick test_logger_jsonl ] ) ]
