@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Paired benchmark gate: the working tree against a parent revision.
+"""Paired benchmark gate: HEAD against a parent revision.
 
     python3 bench/perf_gate.py PARENT_REV
 
-Checks PARENT_REV out in a git worktree under .perfgate/ (removed on
-exit) and runs 5 pairs of 3-second `python3 perfbench/run.py` runs of
-replay_quadrangle, replay_nsfnet and compile, one run of each pair in
-each checkout.  Pair k uses seed k on both sides; odd pairs run the
-parent first, even pairs the change.
+Checks PARENT_REV out in the git worktree .perfgate/parent and HEAD in
+.perfgate/change (both removed on exit), so the two sides build and run
+from paths of the same length, and runs 5 pairs of 3-second
+`python3 perfbench/run.py` runs of replay_quadrangle, replay_nsfnet and
+compile, one run of each pair in each checkout.  Pair k uses seed k on
+both sides; odd pairs run the parent first, even pairs the change.
 
-Exits 2, naming the side and workload, when a run fails, prints no
-result, reports "correct": false or a failed operation; 1, naming the
+Exits 2 when tracked files have uncommitted changes, since the gate
+measures HEAD and would silently leave them out.  Also exits 2, naming
+the side and workload, when a run fails, prints no result, reports
+"correct": false or a failed operation; 1, naming the
 workload, when the change's median time_p50_ref is more than 15% above
 the parent's and the change is slower in at least 4 of the 5 pairs.
 
@@ -36,6 +39,7 @@ SLOWER_PAIRS = 4
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARENT_DIR = os.path.join(ROOT, ".perfgate", "parent")
+CHANGE_DIR = os.path.join(ROOT, ".perfgate", "change")
 
 
 class RunFailed(Exception):
@@ -72,7 +76,7 @@ def gate(workload):
     print(workload)
     parent, change = [], []
     for k in range(1, PAIRS + 1):
-        sides = [("parent", PARENT_DIR, parent), ("change", ROOT, change)]
+        sides = [("parent", PARENT_DIR, parent), ("change", CHANGE_DIR, change)]
         for side, checkout, readings in sides if k % 2 else sides[::-1]:
             readings.append(run(side, checkout, workload, k))
         print(f"  pair {k} (seed {k}, {'parent' if k % 2 else 'change'} first): "
@@ -96,19 +100,29 @@ def main():
     except subprocess.CalledProcessError:
         print(f"perf_gate: {sys.argv[1]} is not a commit", file=sys.stderr)
         return 2
-    if os.path.isdir(PARENT_DIR):
-        git("worktree", "remove", "--force", PARENT_DIR)
+    if git("status", "--porcelain", "--untracked-files=no"):
+        print("perf_gate: tracked files have uncommitted changes; commit "
+              "them, the gate measures HEAD", file=sys.stderr)
+        return 2
+    head = git("rev-parse", "HEAD")
+    checkouts = [(PARENT_DIR, rev), (CHANGE_DIR, head)]
+    for checkout, _ in checkouts:
+        if os.path.isdir(checkout):
+            git("worktree", "remove", "--force", checkout)
     git("worktree", "prune")
-    git("worktree", "add", "--detach", PARENT_DIR, rev)
     try:
-        print(f"perf_gate: parent {rev[:12]} against the working tree, "
+        for checkout, commit in checkouts:
+            git("worktree", "add", "--detach", checkout, commit)
+        print(f"perf_gate: parent {rev[:12]} against HEAD {head[:12]}, "
               f"{PAIRS} pairs of {SECONDS} s runs")
         slower = [w for w in WORKLOADS if gate(w)]
     except RunFailed as e:
         print(f"perf_gate: run failed: {e}", file=sys.stderr)
         return 2
     finally:
-        git("worktree", "remove", "--force", PARENT_DIR)
+        for checkout, _ in checkouts:
+            if os.path.isdir(checkout):
+                git("worktree", "remove", "--force", checkout)
         os.rmdir(os.path.dirname(PARENT_DIR))
     for w in slower:
         print(f"perf_gate: {w}: median more than {THRESHOLD - 1:.0%} above the "

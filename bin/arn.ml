@@ -1391,9 +1391,8 @@ let serve_cmd =
     in
     Option.iter
       (fun path ->
-        Service.Service_metrics.refresh metrics state;
         let oc = open_out path in
-        output_string oc (Service.Service_metrics.to_prometheus metrics);
+        output_string oc (Service.Service_metrics.to_prometheus metrics state);
         close_out oc;
         wrote path)
       metrics_file;

@@ -15,7 +15,8 @@ type series = { labels : (string * string) list; value : value }
 type family = {
   help : string;
   kind : string;  (* "counter" | "gauge" | "histogram" *)
-  mutable series : series list;  (* insertion order *)
+  by_labels : ((string * string) list, series) Hashtbl.t;
+  mutable rev_series : series list;  (* insertion order, reversed *)
 }
 
 type t = {
@@ -67,20 +68,23 @@ let register t ~name ~labels ~help ~kind ~make ~cast =
              "Metrics.register: %s already registered as a %s" name fam.kind);
       fam
     | None ->
-      let fam = { help; kind; series = [] } in
+      let fam =
+        { help; kind; by_labels = Hashtbl.create 8; rev_series = [] }
+      in
       Hashtbl.add t.families name fam;
       t.names <- name :: t.names;
       fam
   in
-  match List.find_opt (fun s -> s.labels = labels) fam.series with
+  match Hashtbl.find_opt fam.by_labels labels with
   | Some s -> (
     match cast s.value with
     | Some v -> v
     | None -> assert false (* same family, same kind *))
   | None ->
-    let v = make () in
-    fam.series <- fam.series @ [ { labels; value = v } ];
-    match cast v with Some v -> v | None -> assert false
+    let s = { labels; value = make () } in
+    Hashtbl.add fam.by_labels labels s;
+    fam.rev_series <- s :: fam.rev_series;
+    match cast s.value with Some v -> v | None -> assert false
 
 let counter t ?(labels = []) ?(help = "") name =
   register t ~name ~labels ~help ~kind:"counter"
@@ -276,7 +280,7 @@ let to_prometheus t =
             Buffer.add_string buf
               (Printf.sprintf "%s_count%s %d\n" name (render_labels s.labels)
                  h.count))
-        fam.series)
+        (List.rev fam.rev_series))
     (names_in_order t);
   Buffer.contents buf
 
@@ -310,7 +314,7 @@ let to_json t =
          ( name,
            Obj
              [ ("type", String fam.kind); ("help", String fam.help);
-               ("series", List (List.map series_json fam.series)) ] ))
+               ("series", List (List.rev_map series_json fam.rev_series)) ] ))
        (names_in_order t))
 
 let to_json_string t = Jsonu.to_string (to_json t)

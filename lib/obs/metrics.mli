@@ -4,8 +4,11 @@
     Series are identified by metric name plus a sorted label set, the
     Prometheus data model; registering the same (name, labels) twice
     returns the existing series, so call sites need not thread handles
-    around.  Updates are plain field mutations — cheap enough to sit on
-    the simulator's per-event path. *)
+    around.  Each family keys its series by label set in a hash table,
+    so registering or finding a series costs O(1) however many the
+    family holds; exposition lists them in registration order.  Updates
+    are plain field mutations — cheap enough to sit on the simulator's
+    per-event path. *)
 
 type t
 type counter

@@ -1,8 +1,8 @@
-type t = {
-  buf : Event.t option array;
+type 'a t = {
+  buf : 'a option array;
   mutable next : int;  (* slot for the next write *)
   mutable stored : int;  (* <= capacity *)
-  mutable seen : int;  (* total events ever pushed *)
+  mutable seen : int;  (* total items ever pushed *)
 }
 
 let create ~capacity =
@@ -14,8 +14,8 @@ let length t = t.stored
 let seen t = t.seen
 let dropped t = t.seen - t.stored
 
-let push t ev =
-  t.buf.(t.next) <- Some ev;
+let push t x =
+  t.buf.(t.next) <- Some x;
   t.next <- (t.next + 1) mod Array.length t.buf;
   if t.stored < Array.length t.buf then t.stored <- t.stored + 1;
   t.seen <- t.seen + 1
@@ -26,7 +26,7 @@ let contents t =
   let start = if t.stored < cap then 0 else t.next in
   List.init t.stored (fun i ->
       match t.buf.((start + i) mod cap) with
-      | Some ev -> ev
+      | Some x -> x
       | None -> assert false)
 
 let clear t =

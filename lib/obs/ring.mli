@@ -1,31 +1,32 @@
-(** Bounded in-memory event buffer.
+(** Bounded keep-newest buffer.
 
-    Keeps the most recent [capacity] events — the "flight recorder" for
-    interactive debugging: run with a ring attached, then inspect the
-    tail of the stream after something interesting happens.  Constant
-    memory regardless of run length. *)
+    Keeps the most recent [capacity] items in constant memory, however
+    many are pushed.  Over events it is the "flight recorder" for
+    interactive debugging: run with a ring attached as a {!sink}, then
+    inspect the tail of the stream after something interesting
+    happens.  The daemon's slow-command log is another. *)
 
-type t
+type 'a t
 
-val create : capacity:int -> t
+val create : capacity:int -> 'a t
 (** @raise Invalid_argument when [capacity <= 0]. *)
 
-val push : t -> Event.t -> unit
-(** O(1); evicts the oldest event once full. *)
+val push : 'a t -> 'a -> unit
+(** O(1); evicts the oldest item once full. *)
 
-val sink : t -> Sink.t
+val sink : Event.t t -> Sink.t
 
-val contents : t -> Event.t list
-(** Oldest first; at most [capacity] events. *)
+val contents : 'a t -> 'a list
+(** Oldest first; at most [capacity] items. *)
 
-val capacity : t -> int
-val length : t -> int
-(** Events currently held. *)
+val capacity : 'a t -> int
+val length : 'a t -> int
+(** Items currently held. *)
 
-val seen : t -> int
-(** Total events ever pushed. *)
+val seen : 'a t -> int
+(** Total items ever pushed. *)
 
-val dropped : t -> int
+val dropped : 'a t -> int
 (** [seen - length]: how many fell off the back. *)
 
-val clear : t -> unit
+val clear : 'a t -> unit

@@ -108,11 +108,10 @@ let max_connections = 512
 let accept_backoff = 0.1
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
 let chomp_cr line =
@@ -215,10 +214,8 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn =
     if is_control cmd then incr epoch;
     response
   in
-  (* timed only when someone records the result: the metrics-free
-     daemon (the bench baseline) keeps its exact pre-telemetry path *)
   let apply ~decide source =
-    let t0 = match metrics with Some _ -> clock () | None -> 0. in
+    let t0 = clock () in
     let cmd_result =
       match source with
       | Line line -> Wire.parse_command line
@@ -229,26 +226,23 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn =
       | Error (code, detail) -> (None, Wire.Err { code; detail })
       | Ok cmd -> (Some cmd, decide cmd)
     in
-    (match metrics with
-    | Some m ->
-      let verb =
-        match cmd with
-        | Some cmd ->
-          Service_metrics.record m state cmd response;
-          Service_metrics.verb cmd
-        | None ->
-          Service_metrics.record_malformed m;
-          "malformed"
-      in
-      let verdict = Service_metrics.verdict response in
-      let seconds = clock () -. t0 in
-      if Service_metrics.record_latency m ~verb ~verdict seconds then
-        Log.warn logger "slow command"
-          ~fields:
-            [ ("verb", Arnet_obs.Jsonu.String verb);
-              ("verdict", Arnet_obs.Jsonu.String verdict);
-              ("seconds", Arnet_obs.Jsonu.Float seconds) ]
-    | None -> ());
+    let verb =
+      match cmd with
+      | Some cmd ->
+        Service_metrics.record metrics cmd response;
+        Service_metrics.verb cmd
+      | None ->
+        Service_metrics.record_malformed metrics;
+        "malformed"
+    in
+    let verdict = Service_metrics.verdict response in
+    let seconds = clock () -. t0 in
+    if Service_metrics.record_latency metrics ~verb ~verdict seconds then
+      Log.warn logger "slow command"
+        ~fields:
+          [ ("verb", Arnet_obs.Jsonu.String verb);
+            ("verdict", Arnet_obs.Jsonu.String verdict);
+            ("seconds", Arnet_obs.Jsonu.Float seconds) ];
     (match (tap, cmd) with Some f, Some cmd -> f cmd response | _ -> ());
     (cmd, response)
   in
@@ -280,9 +274,7 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn =
   (* one reply write for the whole frame — the syscall amortization the
      binary framing exists for *)
   let handle_batch c cmds =
-    (match metrics with
-    | Some m -> Service_metrics.record_batch m (List.length cmds)
-    | None -> ());
+    Service_metrics.record_batch metrics (List.length cmds);
     let responses =
       List.map (fun cmd -> snd (apply ~decide:decide_core (Parsed cmd))) cmds
     in
@@ -290,13 +282,8 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn =
     if List.exists (function Wire.Quit -> true | _ -> false) cmds then
       close_conn c
   in
-  let count_malformed () =
-    match metrics with
-    | Some m -> Service_metrics.record_malformed m
-    | None -> ()
-  in
   let reject_too_long c =
-    count_malformed ();
+    Service_metrics.record_malformed metrics;
     send_last c.fd
       (Wire.print_response
          (Wire.Err
@@ -308,7 +295,7 @@ let command_handler ~metrics ~logger ~clock ~state ~tap ~epoch ~close_conn =
   (* a structurally bad frame is connection-fatal: answer one ERR
      reply frame (the client may be mid-read on a batch) and drop *)
   let binary_fatal c err =
-    count_malformed ();
+    Service_metrics.record_malformed metrics;
     send_last c.fd
       (Bwire.encode_replies
          [ Wire.Err
@@ -413,39 +400,29 @@ let conn_pump ~conns ~(handle_http : ?eof:bool -> conn -> unit) ~handle_line
 
 let telemetry_routes ~metrics ~state ~epoch =
   let module Http = Arnet_obs.Http_exporter in
-  match metrics with
-  | None -> []
-  | Some m ->
-    [ ("/metrics",
-       fun () ->
-         Service_metrics.set_epoch m !epoch;
-         (Http.prometheus_content_type, Service_metrics.scrape m state));
-      ("/healthz", fun () -> (Http.text_content_type, "ok\n"));
-      ("/statz",
-       fun () ->
-         ( Http.json_content_type,
-           Arnet_obs.Jsonu.to_string (Service_metrics.statz m state) ^ "\n" ))
-    ]
+  [ ("/metrics",
+     fun () ->
+       Service_metrics.set_epoch metrics !epoch;
+       (Http.prometheus_content_type, Service_metrics.scrape metrics state));
+    ("/healthz", fun () -> (Http.text_content_type, "ok\n"));
+    ("/statz",
+     fun () ->
+       ( Http.json_content_type,
+         Arnet_obs.Jsonu.to_string (Service_metrics.statz metrics state)
+         ^ "\n" )) ]
 
 (* ------------------------------------------------------------------ *)
 (* the loop: one select over the listeners and every connection,
    commands decided inline in the order it reads them *)
 
-let serve ?metrics ?telemetry ?(logger = Arnet_obs.Logger.null) ?snapshot
-    ?on_listen ?tap ~state addr =
+let serve ?(metrics = Service_metrics.create ()) ?telemetry
+    ?(logger = Arnet_obs.Logger.null) ?snapshot ?on_listen ?tap ~state addr =
   let module Log = Arnet_obs.Logger in
   let module J = Arnet_obs.Jsonu in
   (* a client that disconnects mid-response must cost a dropped
      connection, not the whole daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  (* a telemetry endpoint without a caller-shared registry still needs
-     one to serve from *)
-  let metrics =
-    match (metrics, telemetry) with
-    | None, Some _ -> Some (Service_metrics.create ())
-    | m, _ -> m
-  in
   let listener, cleanup_listener = bind_listener addr in
   let telemetry_listener =
     match telemetry with

@@ -70,14 +70,14 @@ val serve :
     [GET /healthz] answers [ok], [GET /statz] the
     {!Service_metrics.statz} JSON.  A malformed request line is
     answered [400] and the connection closed; the command loop never
-    notices.  When [telemetry] is given without [metrics], a private
-    {!Service_metrics.t} is created so the endpoint always serves.
+    notices.
 
-    With [metrics] present every command is timed on a monotonized
-    clock into [arn_command_latency_seconds{verb,verdict}], and
-    commands crossing the slow threshold enter the slow log and are
-    warned through [logger] (default: silent).  Without [metrics] the
-    command path is exactly the pre-telemetry one — no clock reads.
+    Every command is accounted in [metrics] ({!Service_metrics.record})
+    and timed on a monotonized clock into
+    [arn_command_latency_seconds{verb,verdict}]; commands crossing the
+    slow threshold enter the slow log and are warned through [logger]
+    (default: silent).  Without [metrics] the daemon keeps a private
+    {!Service_metrics.t}, so there is one command path whoever calls.
     @raise Unix.Unix_error when an address cannot be bound (before
     [on_listen] fires). *)
 

@@ -32,15 +32,10 @@ type t = {
   gc_major_collections : M.gauge;
   live_words : M.gauge;
   slow_threshold : float;
-  (* keep-newest ring of threshold-crossing commands: [slow_next] is the
-     write cursor, [slow_len] the fill level *)
-  slow_buf : slow_entry option array;
-  mutable slow_next : int;
-  mutable slow_len : int;
+  slow : slow_entry Arnet_obs.Ring.t;  (** threshold-crossing commands *)
 }
 
-let create ?(slow_threshold = 0.010) ?(slow_keep = 32) () =
-  if slow_keep < 1 then invalid_arg "Service_metrics.create: slow_keep < 1";
+let create ?(slow_threshold = 0.010) () =
   let registry = M.create () in
   { registry;
     net = Arnet_obs.Metrics_sink.create registry;
@@ -101,9 +96,7 @@ let create ?(slow_threshold = 0.010) ?(slow_keep = 32) () =
       M.gauge registry ~help:"Live words on the heap at last scrape"
         "arn_process_live_words";
     slow_threshold;
-    slow_buf = Array.make slow_keep None;
-    slow_next = 0;
-    slow_len = 0 }
+    slow = Arnet_obs.Ring.create ~capacity:32 }
 
 let registry t = t.registry
 let observer t ev = Arnet_obs.Metrics_sink.emit t.net ev
@@ -155,28 +148,18 @@ let latency_histogram t key =
     Hashtbl.add t.latency key h;
     h
 
-let push_slow t e =
-  let cap = Array.length t.slow_buf in
-  t.slow_buf.(t.slow_next) <- Some e;
-  t.slow_next <- (t.slow_next + 1) mod cap;
-  if t.slow_len < cap then t.slow_len <- t.slow_len + 1
-
 let record_latency t ~verb ~verdict seconds =
   M.observe (latency_histogram t (verb, verdict)) seconds;
   if seconds >= t.slow_threshold then begin
-    push_slow t { at = Unix.gettimeofday (); verb; verdict; seconds };
+    Arnet_obs.Ring.push t.slow
+      { at = Unix.gettimeofday (); verb; verdict; seconds };
     true
   end
   else false
 
-let slow_log t =
-  let cap = Array.length t.slow_buf in
-  List.init t.slow_len (fun i ->
-      match t.slow_buf.(((t.slow_next - 1 - i) mod cap + cap) mod cap) with
-      | Some e -> e
-      | None -> assert false (* within [slow_len] of the cursor *))
+let slow_log t = List.rev (Arnet_obs.Ring.contents t.slow)
 
-let record t st cmd resp =
+let record t cmd resp =
   M.inc (command_counter t (verb cmd));
   (match resp with
   | Wire.Admitted { path; _ } ->
@@ -187,18 +170,7 @@ let record t st cmd resp =
   | Wire.Reloaded _ | Wire.Patched _ -> ()
   | Wire.Done -> (
     match cmd with Wire.Teardown _ -> M.inc t.torn_down | _ -> ())
-  | Wire.Stats_reply _ -> ());
-  (* sync rather than inc: [--reload-every] cadence reloads happen inside
-     State without a RELOAD command on the wire (likewise failovers,
-     which only State's decision loop can classify) *)
-  M.inc_by t.reloads
-    (float_of_int (State.stats st).Wire.reloads -. M.counter_value t.reloads);
-  Arnet_obs.Metrics_sink.sync_failovers t.net
-    (State.stats st).Wire.failovers;
-  M.set t.active (float_of_int (State.active_calls st));
-  M.set t.occupancy
-    (float_of_int (Array.fold_left ( + ) 0 (State.occupancy st)));
-  M.set t.failed (float_of_int (List.length (State.failed_links st)))
+  | Wire.Stats_reply _ -> ())
 
 let record_malformed t = M.inc t.errors
 
@@ -206,7 +178,9 @@ let record_batch t size = M.observe t.batch_size (float_of_int size)
 
 let set_epoch t n = M.set t.epoch (float_of_int n)
 
-let refresh t st =
+(* State changes only inside commands, so the series mirroring it are
+   set here, per scrape, rather than after every command *)
+let to_prometheus t st =
   M.set t.uptime (Unix.gettimeofday () -. t.started_at);
   (* the monotone counters come from quick_stat, read before the heap
      walk below so the forced major it triggers is not charged to the
@@ -218,21 +192,30 @@ let refresh t st =
   (* quick_stat reports live_words as 0; the full walk is scrape-time
      only, never on the command path *)
   M.set t.live_words (float_of_int (Gc.stat ()).Gc.live_words);
-  let g = State.graph st in
+  let s = State.stats st in
+  (* synced rather than counted per command: [--reload-every] reloads
+     happen inside State without a RELOAD on the wire, and only State's
+     decision loop can classify a failover *)
+  M.inc_by t.reloads (float_of_int s.Wire.reloads -. M.counter_value t.reloads);
+  Arnet_obs.Metrics_sink.sync_failovers t.net s.Wire.failovers;
+  M.set t.active (float_of_int s.Wire.active);
+  M.set t.occupancy
+    (float_of_int (Array.fold_left ( + ) 0 (State.occupancy st)));
+  M.set t.failed (float_of_int (List.length s.Wire.failed));
   let capacities =
-    Array.map (fun l -> l.Arnet_topology.Link.capacity) (Arnet_topology.Graph.links g)
+    Array.map
+      (fun l -> l.Arnet_topology.Link.capacity)
+      (Arnet_topology.Graph.links (State.graph st))
   in
   Arnet_obs.Metrics_sink.set_network t.net ~capacities
     ~reserves:(State.reserves st);
   Arnet_obs.Metrics_sink.set_failed_links t.net
-    ~link_count:(Array.length capacities) (State.failed_links st);
-  Arnet_obs.Metrics_sink.sync_failovers t.net
-    (State.stats st).Wire.failovers
+    ~link_count:(Array.length capacities) s.Wire.failed;
+  M.to_prometheus t.registry
 
 let scrape t st =
   M.inc t.scrapes;
-  refresh t st;
-  M.to_prometheus t.registry
+  to_prometheus t st
 
 let slow_entry_json e =
   J.Obj
@@ -259,5 +242,3 @@ let statz t st =
        J.Int (Array.fold_left ( + ) 0 (State.occupancy st)));
       ("slow_threshold_s", J.Float t.slow_threshold);
       ("slow_commands", J.List (List.map slow_entry_json (slow_log t))) ]
-
-let to_prometheus t = M.to_prometheus t.registry

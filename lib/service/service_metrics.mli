@@ -3,14 +3,17 @@
     One record per daemon, holding every family the telemetry endpoint
     exposes:
 
-    - [arn_service_*] — command/verdict counters, active-call,
-      total-occupancy and failed-link gauges, admitted-hops histogram;
+    - [arn_service_*] — command/verdict counters and the admitted-hops
+      histogram, counted per command by {!record}; the reload counter
+      and the active-call, total-occupancy and failed-link gauges,
+      which mirror {!State} and are set per scrape by
+      {!to_prometheus};
     - [arn_command_latency_seconds{verb,verdict}] — log-bucket
       per-command handling latency, fed by the server's monotonic
-      timer, with a keep-newest ring of threshold-crossing commands
-      behind it (the slow log);
+      timer, with a keep-newest {!Arnet_obs.Ring} of the 32 newest
+      threshold-crossing commands behind it (the slow log);
     - [arn_process_*] — uptime, GC counters and live-heap words,
-      refreshed on {!scrape};
+      refreshed per scrape;
     - the [arnet_*] network series of {!Arnet_obs.Metrics_sink}
       (per-link occupancy/capacity/reserve, per-pair accept/block,
       per-link alternate refusals), registered on the same registry so
@@ -27,11 +30,9 @@ type slow_entry = {
   seconds : float;  (** handling latency *)
 }
 
-val create : ?slow_threshold:float -> ?slow_keep:int -> unit -> t
-(** [slow_threshold] (seconds, default 10 ms) gates the slow-command
-    ring; [slow_keep] (default 32) is its capacity — older entries are
-    overwritten, newest kept.
-    @raise Invalid_argument when [slow_keep < 1]. *)
+val create : ?slow_threshold:float -> unit -> t
+(** [slow_threshold] (seconds, default 10 ms) gates the slow log, which
+    keeps the 32 newest commands that reached it. *)
 
 val registry : t -> Arnet_obs.Metrics.t
 
@@ -46,8 +47,10 @@ val verdict : Wire.response -> string
 (** Latency-label verdict: ["admitted"], ["blocked"], ["error"], or
     ["ok"]. *)
 
-val record : t -> State.t -> Wire.command -> Wire.response -> unit
-(** Account one handled command and refresh the state gauges. *)
+val record : t -> Wire.command -> Wire.response -> unit
+(** Account one handled command: its verb counter, and the admitted,
+    blocked, error or teardown counter its response bumps.  O(1); it
+    reads no {!State}. *)
 
 val record_malformed : t -> unit
 (** Account an input line that failed to parse (answered [ERR]). *)
@@ -68,19 +71,20 @@ val record_latency :
 
 val slow_threshold : t -> float
 val slow_log : t -> slow_entry list
-(** Newest first, at most [slow_keep] entries. *)
+(** Newest first, at most 32 entries. *)
 
-val refresh : t -> State.t -> unit
-(** Bring the scrape-time series current: uptime, GC counters
-    ([Gc.quick_stat]), live-heap words, and the per-link
-    capacity/reserve gauges from the daemon state. *)
+val to_prometheus : t -> State.t -> string
+(** Bring the scrape-time series current and render the registry as
+    exposition text.  It sets uptime, the GC counters
+    ([Gc.quick_stat]) and live-heap words, and mirrors the daemon state
+    from one {!State.stats}: reloads, failovers, active calls, total
+    occupancy, failed links, and the per-link capacity, reserve and
+    failed gauges.  Since State changes only inside commands, every
+    render reads what the last command left. *)
 
 val scrape : t -> State.t -> string
-(** [refresh], count the scrape, and render the registry — the
-    [/metrics] body. *)
+(** Count the scrape, then {!to_prometheus} — the [/metrics] body. *)
 
 val statz : t -> State.t -> Arnet_obs.Jsonu.t
 (** The [/statz] JSON document: daemon counters, clock, failure set,
     occupancy, and the slow-command log. *)
-
-val to_prometheus : t -> string

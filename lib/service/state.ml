@@ -366,9 +366,9 @@ let repair t ~link =
 
 (* ------------------------------------------------------------------ *)
 (* LINK ADD / LINK DEL: incremental topology patches.  The route table
-   is patched in place via {!Route_table.patch} -- only the ordered
-   pairs whose route sets touch the edited arc are recompiled -- and
-   every per-link array is remapped to the patched graph's link ids. *)
+   is patched via {!Route_table.patch} -- only the ordered pairs whose
+   route sets touch the edited arc are recompiled -- and every per-link
+   array and in-flight call moves to the patched graph's link ids. *)
 
 (* scripted failure events address links by id; once the topology can
    shift ids under them the replay would silently corrupt, so patches
@@ -380,13 +380,43 @@ let script_guard t =
          "topology patches are refused while a failure script is loaded")
   else None
 
-let install t routes =
+(* each link keeps its state under its id in the patched graph, matched
+   by endpoints; an added link starts idle.  Calls on a removed link
+   must already be dropped *)
+let relink t change =
+  let routes, recomputed = Route_table.patch t.routes [ change ] in
+  let g = Route_table.graph routes in
+  let m = Graph.link_count g in
+  (* old id of each new link (-1: added), new id of each old link *)
+  let before = Array.make m (-1) in
+  let after = Array.make (Graph.link_count t.graph) (-1) in
+  Graph.iter_links
+    (fun l ->
+      match Graph.find_link t.graph ~src:l.Link.src ~dst:l.Link.dst with
+      | Some old ->
+        before.(l.Link.id) <- old.Link.id;
+        after.(old.Link.id) <- l.Link.id
+      | None -> ())
+    g;
+  let move a idle =
+    Array.init m (fun k -> if before.(k) < 0 then idle () else a.(before.(k)))
+  in
+  t.reserves <- move t.reserves (fun () -> 0);
+  t.occupancy <- move t.occupancy (fun () -> 0);
+  t.failed <- move t.failed (fun () -> false);
+  t.estimators <-
+    move t.estimators (fun () ->
+        Estimator.create ?window:t.est_window ?smoothing:t.est_smoothing ());
+  Hashtbl.iter
+    (fun _ c -> Array.iteri (fun i k -> c.links.(i) <- after.(k)) c.links)
+    t.active;
   t.routes <- routes;
   t.plans <- Controller.plans routes;
-  t.graph <- Route_table.graph routes;
+  t.graph <- g;
   t.capacities <-
-    Array.map (fun (l : Link.t) -> l.Link.capacity) (Graph.links t.graph);
-  refresh_admission t
+    Array.map (fun (l : Link.t) -> l.Link.capacity) (Graph.links g);
+  refresh_admission t;
+  Wire.Patched { recomputed }
 
 let link_add t ~src ~dst ~capacity =
   match script_guard t with
@@ -399,67 +429,18 @@ let link_add t ~src ~dst ~capacity =
     else if capacity < 0 then err "bad-argument" "negative capacity"
     else if Graph.find_link t.graph ~src ~dst <> None then
       err "link-exists" (Printf.sprintf "link %d -> %d already exists" src dst)
-    else begin
-      let routes, recomputed =
-        Route_table.patch t.routes
-          [ Route_table.Add_link { src; dst; capacity } ]
-      in
-      (* the new link's id is the old link count: every existing id is
-         stable, so the per-link state just grows by one slot *)
-      let append a x = Array.append a [| x |] in
-      t.reserves <- append t.reserves 0;
-      t.occupancy <- append t.occupancy 0;
-      t.failed <- append t.failed false;
-      t.estimators <-
-        append t.estimators
-          (Estimator.create ?window:t.est_window ?smoothing:t.est_smoothing
-             ());
-      install t routes;
-      Wire.Patched { recomputed }
-    end
+    else relink t (Route_table.Add_link { src; dst; capacity })
 
 let link_del t ~src ~dst =
   match script_guard t with
   | Some e -> e
-  | None ->
-    (match Graph.find_link t.graph ~src ~dst with
-    | None ->
-      err "no-such-link" (Printf.sprintf "no link %d -> %d" src dst)
+  | None -> (
+    match Graph.find_link t.graph ~src ~dst with
+    | None -> err "no-such-link" (Printf.sprintf "no link %d -> %d" src dst)
     | Some dead ->
-      let old_id = dead.Link.id in
       (* calls holding a circuit on the removed link go with it *)
-      drop_calls_on t ~link:old_id;
-      let routes, recomputed =
-        Route_table.patch t.routes [ Route_table.Remove_link { src; dst } ]
-      in
-      let g' = Route_table.graph routes in
-      (* removal renumbers ids: re-locate every surviving link by its
-         endpoints and remap all per-link state through the table *)
-      let m = Array.length t.capacities in
-      let id_map = Array.make m (-1) in
-      Graph.iter_links
-        (fun l ->
-          if l.Link.id <> old_id then
-            id_map.(l.Link.id) <-
-              (Graph.find_link_exn g' ~src:l.Link.src ~dst:l.Link.dst).Link.id)
-        t.graph;
-      let remap old default =
-        let fresh = Array.make (m - 1) default in
-        Array.iteri
-          (fun k v -> if k <> old_id then fresh.(id_map.(k)) <- v)
-          old;
-        fresh
-      in
-      t.reserves <- remap t.reserves 0;
-      t.occupancy <- remap t.occupancy 0;
-      t.failed <- remap t.failed false;
-      t.estimators <- remap t.estimators (Estimator.create ());
-      Hashtbl.iter
-        (fun _ c ->
-          Array.iteri (fun i k -> c.links.(i) <- id_map.(k)) c.links)
-        t.active;
-      install t routes;
-      Wire.Patched { recomputed })
+      drop_calls_on t ~link:dead.Link.id;
+      relink t (Route_table.Remove_link { src; dst }))
 
 let drain t =
   t.draining <- true;

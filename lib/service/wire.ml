@@ -109,7 +109,7 @@ let time_arg s k =
   | Some _ | None ->
     Error ("bad-argument", "time must be a finite nonnegative number")
 
-let parse_command_general line =
+let parse_command line =
   match tokens line with
   | [] -> Error ("bad-command", "empty command line")
   | verb :: args -> (
@@ -151,86 +151,11 @@ let parse_command_general line =
     | "DRAIN", _ -> Error ("bad-argument", "DRAIN takes no argument")
     | "QUIT", [] -> Ok Quit
     | "QUIT", _ -> Error ("bad-argument", "QUIT takes no argument")
-    | "HELLO", [ mode ] -> Ok (Hello { mode })
+    (* a tab survives space splitting, but print_command refuses it *)
+    | "HELLO", [ mode ] when not (String.contains mode '\t') ->
+      Ok (Hello { mode })
     | "HELLO", _ -> Error ("bad-argument", "usage: HELLO <mode>")
     | _ -> Error ("bad-command", Printf.sprintf "unknown command %S" verb))
-
-(* Fast path for the two verbs the load path is made of.  The general
-   parser above allocates a token list per line; this scanner walks the
-   string with integer indices only, so a well-formed SETUP/TEARDOWN
-   costs no tokenization garbage (a timed SETUP keeps one substring for
-   the float conversion).  Any deviation from the strict shape —
-   unexpected verb, sign/hex/underscore integer forms, tabs, trailing
-   tokens, > 18 digits — falls back to the general parser, which keeps
-   the two byte-for-byte equivalent (the qcheck property in
-   test/test_service.ml). *)
-exception Slow
-
-let parse_command line =
-  let n = String.length line in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec skip_sp i = if i < n && line.[i] = ' ' then skip_sp (i + 1) else i in
-  let rec int_end j = if j < n && is_digit line.[j] then int_end (j + 1) else j in
-  let rec int_value acc i j =
-    if i = j then acc
-    else int_value ((acc * 10) + (Char.code line.[i] - 48)) (i + 1) j
-  in
-  (* a decimal run of 1..18 digits ending at a space or end of line:
-     short enough to never overflow a 63-bit int *)
-  let int_token i =
-    let j = int_end i in
-    if j = i || j - i > 18 || (j < n && line.[j] <> ' ') then raise Slow;
-    j
-  in
-  let verb_is kw i =
-    let k = String.length kw in
-    i + k < n
-    && line.[i + k] = ' '
-    &&
-    let rec eq j =
-      j = k || (Char.uppercase_ascii line.[i + j] = kw.[j] && eq (j + 1))
-    in
-    eq 0
-  in
-  match
-    let i = skip_sp 0 in
-    if verb_is "SETUP" i then begin
-      let a0 = skip_sp (i + 5) in
-      let a1 = int_token a0 in
-      let b0 = skip_sp a1 in
-      let b1 = int_token b0 in
-      let src = int_value 0 a0 a1 and dst = int_value 0 b0 b1 in
-      let t0 = skip_sp b1 in
-      if t0 = n then Ok (Setup { src; dst; time = None })
-      else begin
-        let rec tok_end j =
-          if j < n && line.[j] <> ' ' then tok_end (j + 1) else j
-        in
-        let t1 = tok_end t0 in
-        if skip_sp t1 <> n then raise Slow;
-        (* the general parser trims tabs/CR/LF at the ends before
-           tokenizing; a time "token" holding one is really trailing
-           whitespace, so defer rather than mis-parse it *)
-        for j = t0 to t1 - 1 do
-          match line.[j] with
-          | '\t' | '\r' | '\n' | '\012' -> raise Slow
-          | _ -> ()
-        done;
-        time_arg
-          (String.sub line t0 (t1 - t0))
-          (fun time -> Ok (Setup { src; dst; time = Some time }))
-      end
-    end
-    else if verb_is "TEARDOWN" i then begin
-      let a0 = skip_sp (i + 8) in
-      let a1 = int_token a0 in
-      if skip_sp a1 <> n then raise Slow;
-      Ok (Teardown { id = int_value 0 a0 a1 })
-    end
-    else raise Slow
-  with
-  | result -> result
-  | exception Slow -> parse_command_general line
 
 let parse_path s =
   let parts = String.split_on_char '-' s in

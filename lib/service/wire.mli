@@ -91,16 +91,11 @@ val print_command : command -> string
     or a {!Hello} mode that is empty or not a single token. *)
 
 val parse_command : string -> (command, string * string) result
-(** [Error (code, detail)] mirrors the payload of {!Err}.
-
-    Internally a non-allocating scanner handles well-formed [SETUP]
-    and [TEARDOWN] lines (the load path) and defers everything else —
-    other verbs, exotic integer forms, embedded tabs — to
-    {!parse_command_general}; the two agree on every input. *)
-
-val parse_command_general : string -> (command, string * string) result
-(** The token-splitting reference parser {!parse_command} is checked
-    against (the equivalence qcheck in [test/test_service.ml]). *)
+(** [Error (code, detail)] mirrors the payload of {!Err}.  The line is
+    trimmed and split on spaces; verbs match case-insensitively and
+    integers are read by [int_of_string].  Every line gets [Ok] or a
+    typed [Error], never an exception, and an [Ok] command prints back
+    to a line that parses to it again. *)
 
 val print_response : response -> string
 (** @raise Invalid_argument on an {!Admitted} path shorter than two

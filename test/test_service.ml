@@ -94,9 +94,8 @@ let prop_response_roundtrip =
       | Ok r' -> Wire.equal_response r r'
       | Error _ -> false)
 
-(* the non-allocating SETUP/TEARDOWN scanner must be indistinguishable
-   from the token-splitting reference parser — on well-formed lines, on
-   garbage, and on the adversarial spacing in between *)
+(* well-formed lines, garbage, and the adversarial spacing, signs and
+   number forms in between *)
 let scanner_line_gen =
   QCheck.Gen.(
     let soup =
@@ -128,14 +127,18 @@ let scanner_line_gen =
     in
     oneof [ map Wire.print_command command_gen; templated; short; soup ])
 
-let prop_scanner_matches_general =
-  QCheck.Test.make ~count:3000 ~name:"Wire: fast scanner = general parser"
+(* the parser answers every line with a command or a typed error, and
+   what it accepts prints back to a line that parses to the same *)
+let prop_parse_command_total =
+  QCheck.Test.make ~count:3000 ~name:"Wire: parse_command total + reprint"
     (QCheck.make scanner_line_gen ~print:String.escaped)
     (fun line ->
-      match (Wire.parse_command line, Wire.parse_command_general line) with
-      | Ok a, Ok b -> Wire.equal_command a b
-      | Error (c1, d1), Error (c2, d2) -> c1 = c2 && d1 = d2
-      | Ok _, Error _ | Error _, Ok _ -> false)
+      match Wire.parse_command line with
+      | Error (code, _) -> code = "bad-command" || code = "bad-argument"
+      | Ok c -> (
+        match Wire.parse_command (Wire.print_command c) with
+        | Ok c' -> Wire.equal_command c c'
+        | Error _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* binary batch framing: decode (encode batch) = batch, and malformed
@@ -270,6 +273,8 @@ let test_malformed_commands () =
   expect "bad-argument" "STATS 1";
   expect "bad-argument" "DRAIN please";
   expect "bad-argument" "QUIT 0";
+  (* a tab is inside the token, and no such mode prints back *)
+  expect "bad-argument" "HELLO bin\tary";
   (* case-insensitive verbs, tolerant spacing *)
   (match Wire.parse_command "  setup  0   2  " with
   | Ok (Wire.Setup { src = 0; dst = 2; time = None }) -> ()
@@ -674,6 +679,73 @@ let test_link_patch () =
   match State.link_del scripted ~src:0 ~dst:1 with
   | Wire.Err { code = "script-active"; _ } -> ()
   | r -> Alcotest.failf "scripted patch: %s" (Wire.print_response r)
+
+(* degenerate topologies through the daemon's link verbs: every line
+   gets a typed reply, every PATCHED table equals a rebuild of the
+   patched graph, and tearing down what is left empties every link *)
+let test_link_verbs_degenerate () =
+  let link id src dst = Link.make ~id ~src ~dst ~capacity:2 in
+  let fixtures =
+    [ ("single node", Graph.create ~nodes:1 []);
+      ("single edge", Graph.create ~nodes:2 [ link 0 0 1 ]);
+      ("bidirectional edge", Graph.of_edges ~nodes:2 ~capacity:2 [ (0, 1) ]);
+      ("double hop", Graph.create ~nodes:3 [ link 0 0 1; link 1 1 2 ]);
+      ( "double bidirectional hop",
+        Graph.of_edges ~nodes:3 ~capacity:2 [ (0, 1); (1, 2) ] );
+      ("two nodes, no link", Graph.create ~nodes:2 []) ]
+  in
+  let script =
+    [ "SETUP 0 1 1"; "SETUP 1 0 1.5"; "SETUP 0 2 2"; "RELOAD";
+      "LINK DEL 0 1"; "SETUP 0 1 3"; "LINK ADD 0 1 0"; "SETUP 0 1 4";
+      "LINK DEL 0 1"; "LINK ADD 0 1 5"; "SETUP 0 1 5"; "SETUP 0 2 5.5";
+      "FAIL 0"; "SETUP 0 1 6"; "REPAIR 0"; "LINK ADD 2 0 5";
+      "LINK DEL 1 2"; "SETUP 2 1 7"; "RELOAD"; "STATS" ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.node_count g in
+      List.iter
+        (fun matrix ->
+          let label =
+            Printf.sprintf "%s, %s" name
+              (if matrix = None then "no matrix" else "matrix")
+          in
+          let st = State.create ?matrix g in
+          let ids = ref [] in
+          let send line =
+            match Session.handle_line st line with
+            | r, _ -> r
+            | exception e ->
+              Alcotest.failf "%s: %S raised %s" label line
+                (Printexc.to_string e)
+          in
+          List.iter
+            (fun line ->
+              match send line with
+              | Wire.Admitted { id; _ } -> ids := id :: !ids
+              | Wire.Patched _ ->
+                let routes = State.routes st in
+                if
+                  not
+                    (Route_table.equal routes
+                       (Route_table.build ~h:(Route_table.h routes)
+                          (State.graph st)))
+                then
+                  Alcotest.failf "%s: %S: patched table <> rebuild" label line
+              | _ -> ())
+            script;
+          List.iter
+            (fun id -> ignore (send (Printf.sprintf "TEARDOWN %d" id)))
+            !ids;
+          Alcotest.(check (list int)) (label ^ ": all links idle")
+            (List.init (Graph.link_count (State.graph st)) (fun _ -> 0))
+            (Array.to_list (State.occupancy st));
+          ignore (send "DRAIN");
+          Alcotest.(check bool) (label ^ ": drained") true (State.drained st))
+        (if n >= 2 then
+           [ None; Some (Matrix.uniform ~nodes:n ~demand:1.5) ]
+         else [ None ]))
+    fixtures
 
 let test_failure_script_follows_clock () =
   let module S = Arnet_sim.Script in
@@ -1282,6 +1354,71 @@ let test_telemetry_scrape_determinism () =
     plain.Loadgen.blocked scraped.Loadgen.blocked;
   Alcotest.(check int) "no wire errors" 0 scraped.Loadgen.errors
 
+(* the series that mirror State are set per scrape: after cadence
+   reloads, a failover around a FAILed link and calls left in flight, a
+   scrape reads exactly what State.stats and State.occupancy say *)
+let test_scrape_mirrors_state () =
+  let g = quadrangle ~capacity:5 () in
+  let matrix = Matrix.uniform ~nodes:4 ~demand:3. in
+  let metrics = Service_metrics.create () in
+  let st =
+    State.create ~matrix ~reload_every:4
+      ~observer:(Service_metrics.observer metrics) g
+  in
+  let handle cmd = Service_metrics.record metrics cmd (Session.handle st cmd) in
+  let setup src dst time =
+    handle (Wire.Setup { src; dst; time = Some time })
+  in
+  List.iteri (fun i (src, dst) -> setup src dst (float_of_int i))
+    [ (2, 3); (3, 2); (1, 2); (0, 3); (2, 0); (0, 1) ];
+  handle (Wire.Fail { link = (Graph.find_link_exn g ~src:0 ~dst:1).Link.id });
+  setup 0 1 7.;
+  setup 0 1 8.;
+  let s = State.stats st in
+  Alcotest.(check bool) "cadence reloads happened" true (s.Wire.reloads >= 2);
+  Alcotest.(check bool) "a setup failed over" true (s.Wire.failovers >= 1);
+  Alcotest.(check bool) "calls in flight" true (s.Wire.active >= 1);
+  let text = Service_metrics.scrape metrics st in
+  let value name =
+    let prefix = name ^ " " in
+    match
+      List.find_opt
+        (fun l -> String.starts_with ~prefix l)
+        (String.split_on_char '\n' text)
+    with
+    | Some line ->
+      float_of_string
+        (String.sub line (String.length prefix)
+           (String.length line - String.length prefix))
+    | None -> Alcotest.failf "%s not exported" name
+  in
+  let check what expected name =
+    Alcotest.(check (float 0.)) what (float_of_int expected) (value name)
+  in
+  check "reloads" s.Wire.reloads "arn_service_reloads_total";
+  check "failovers" s.Wire.failovers "arnet_failover_total";
+  check "active calls" s.Wire.active "arn_service_active_calls";
+  check "occupancy"
+    (Array.fold_left ( + ) 0 (State.occupancy st))
+    "arn_service_occupancy_circuits";
+  check "failed links" (List.length s.Wire.failed) "arn_service_failed_links"
+
+(* the slow log keeps the 32 newest commands over the threshold *)
+let test_slow_log_keeps_newest () =
+  let metrics = Service_metrics.create ~slow_threshold:0. () in
+  for i = 1 to 40 do
+    let slow =
+      Service_metrics.record_latency metrics ~verb:"setup" ~verdict:"ok"
+        (float_of_int i)
+    in
+    Alcotest.(check bool) "over the threshold" true slow
+  done;
+  Alcotest.(check (list (float 0.))) "32 entries, newest first"
+    (List.init 32 (fun i -> float_of_int (40 - i)))
+    (List.map
+       (fun e -> e.Service_metrics.seconds)
+       (Service_metrics.slow_log metrics))
+
 (* The two ways a connection flood used to kill the daemon, against
    the real [arn serve] binary: more connections than select(2) can
    watch, and more than the process has descriptors for.  Raw sockets
@@ -1773,7 +1910,7 @@ let () =
     [ ( "wire",
         [ qcheck prop_command_roundtrip;
           qcheck prop_response_roundtrip;
-          qcheck prop_scanner_matches_general;
+          qcheck prop_parse_command_total;
           Alcotest.test_case "malformed commands" `Quick
             test_malformed_commands;
           Alcotest.test_case "malformed responses" `Quick
@@ -1799,6 +1936,8 @@ let () =
             test_fail_repair_edge_cases;
           Alcotest.test_case "link add/del patches routes" `Quick
             test_link_patch;
+          Alcotest.test_case "link verbs on degenerate topologies" `Quick
+            test_link_verbs_degenerate;
           Alcotest.test_case "failure script follows the clock" `Quick
             test_failure_script_follows_clock ] );
       ( "reload",
@@ -1829,7 +1968,11 @@ let () =
       ( "telemetry",
         [ Alcotest.test_case "live endpoints" `Quick test_telemetry_endpoints;
           Alcotest.test_case "scraping does not perturb admission" `Slow
-            test_telemetry_scrape_determinism ] );
+            test_telemetry_scrape_determinism;
+          Alcotest.test_case "scrape mirrors State" `Quick
+            test_scrape_mirrors_state;
+          Alcotest.test_case "slow log keeps the newest 32" `Quick
+            test_slow_log_keeps_newest ] );
       ( "sharded",
         [ Alcotest.test_case "--domains 1 is the pre-sharding daemon" `Slow
             test_golden_transcript_d1;
