@@ -398,22 +398,22 @@ let ext_failure () =
 (* calls each daemon section plays against the daemon *)
 let daemon_calls = 20_000
 
-let serve () =
-  Report.section ppf ~id:"serve"
-    ~title:"arnet_service daemon: wire requests/sec over a Unix socket";
-  let module Service = Arnet_service in
+(* the quadrangle both daemon sections serve, at 15 E per pair *)
+let daemon_network () =
   let g = Arnet_topology.Builders.full_mesh ~nodes:4 ~capacity:20 in
-  let matrix =
-    Arnet_traffic.Matrix.uniform
-      ~nodes:(Arnet_topology.Graph.node_count g)
-      ~demand:15.
-  in
+  (g, Arnet_traffic.Matrix.uniform ~nodes:4 ~demand:15.)
+
+(* serve [g] (under [failure_script], if any) on a fresh Unix socket,
+   play the seeded load against it and drain; the result and the
+   drained state, safe to read once the server thread is joined *)
+let serve_and_load ~name ?failure_script g matrix =
+  let module Service = Arnet_service in
   let addr =
     Service.Server.Unix_sock
       (Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "arnet-bench-%d.sock" (Unix.getpid ())))
+         (Printf.sprintf "arnet-%s-%d.sock" name (Unix.getpid ())))
   in
-  let state = Service.State.create ~matrix g in
+  let state = Service.State.create ~matrix ?failure_script g in
   let server = Thread.create (fun () -> Service.Server.serve ~state addr) () in
   let result =
     Fun.protect
@@ -432,6 +432,14 @@ let serve () =
           ~addr ())
   in
   Format.fprintf ppf "%a@." Service.Loadgen.print result;
+  (result, state)
+
+let serve () =
+  Report.section ppf ~id:"serve"
+    ~title:"arnet_service daemon: wire requests/sec over a Unix socket";
+  let module Service = Arnet_service in
+  let g, matrix = daemon_network () in
+  let result, _ = serve_and_load ~name:"bench" g matrix in
   Report.paper_vs_measured ppf ~what:"daemon vs batch simulator decisions"
     ~paper:"(extension) same two-tier rule, call-by-call"
     ~measured:
@@ -445,12 +453,7 @@ let storm () =
   Report.section ppf ~id:"storm"
     ~title:"arnet_service daemon availability under a scripted failure storm";
   let module Service = Arnet_service in
-  let g = Arnet_topology.Builders.full_mesh ~nodes:4 ~capacity:20 in
-  let matrix =
-    Arnet_traffic.Matrix.uniform
-      ~nodes:(Arnet_topology.Graph.node_count g)
-      ~demand:15.
-  in
+  let g, matrix = daemon_network () in
   (* the load spans about calls/total virtual time units; draw the storm
      over 80% of that so failures (and most repairs) land while SETUPs
      are still advancing the daemon's virtual clock *)
@@ -462,30 +465,10 @@ let storm () =
   in
   Format.fprintf ppf "failure script: %d events over %.1f virtual tu@."
     (Arnet_sim.Script.length script) (0.8 *. span);
-  let addr =
-    Service.Server.Unix_sock
-      (Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "arnet-storm-%d.sock" (Unix.getpid ())))
+  let result, state =
+    serve_and_load ~name:"storm" ~failure_script:script g matrix
   in
-  let state = Service.State.create ~matrix ~failure_script:script g in
-  let server = Thread.create (fun () -> Service.Server.serve ~state addr) () in
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        (try
-           let ic, oc = Service.Server.connect ~retry_for:5. addr in
-           ignore (Service.Server.request ic oc Service.Wire.Drain);
-           close_out_noerr oc;
-           ignore ic
-         with _ -> ());
-        Thread.join server)
-      (fun () ->
-        Service.Loadgen.run ~retry_for:5. ~seed:42 ~calls:daemon_calls ~matrix
-          ~addr ())
-  in
-  (* the server thread is joined: the drained state is safe to read *)
   let stats = Service.State.stats state in
-  Format.fprintf ppf "%a@." Service.Loadgen.print result;
   Format.fprintf ppf
     "storm      dropped %d in-flight, %d failovers, %d links still down@."
     stats.Service.Wire.dropped stats.Service.Wire.failovers

@@ -58,35 +58,38 @@ let capacity_arg =
   let doc = "Link capacity (calls) for synthetic networks." in
   Arg.(value & opt int 100 & info [ "capacity"; "c" ] ~doc)
 
-let load_spec path =
-  match Arnet_serial.Spec.of_file path with
-  | spec -> spec
-  | exception Arnet_serial.Spec.Parse_error (line, msg) ->
-    Printf.eprintf "%s:%d: %s\n" path line msg;
-    exit 1
-
-let build_graph network capacity =
+(* a network, read once per command: its graph and, for a file spec,
+   the demand lines it declares.  A missing or malformed spec file is
+   one stderr line naming it, prefixed with the subcommand [cmd], and
+   exit 2 — the convention [load_topo] keeps *)
+let load_network ~cmd network capacity : Arnet_serial.Spec.t =
+  let synthetic graph = { Arnet_serial.Spec.graph; matrix = None } in
   match network with
-  | `Nsfnet -> Nsfnet.graph ()
-  | `Quadrangle -> Builders.full_mesh ~nodes:4 ~capacity
-  | `Mesh n -> Builders.full_mesh ~nodes:n ~capacity
-  | `Ring n -> Builders.ring ~nodes:n ~capacity
-  | `File path -> (load_spec path).Arnet_serial.Spec.graph
+  | `Nsfnet -> synthetic (Nsfnet.graph ())
+  | `Quadrangle -> synthetic (Builders.full_mesh ~nodes:4 ~capacity)
+  | `Mesh n -> synthetic (Builders.full_mesh ~nodes:n ~capacity)
+  | `Ring n -> synthetic (Builders.ring ~nodes:n ~capacity)
+  | `File path -> (
+    try Arnet_serial.Spec.of_file path with
+    | Sys_error msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 2
+    | Arnet_serial.Spec.Parse_error (line, msg) ->
+      Printf.eprintf "%s: %s:%d: %s\n" cmd path line msg;
+      exit 2)
 
 (* the traffic matrix a network implies: NSFNet -> the fitted nominal,
-   file specs -> their demand lines, synthetic -> uniform demand *)
-let build_matrix network graph ~scale ~demand =
-  match network with
-  | `Nsfnet ->
+   file specs -> their demand lines, otherwise uniform demand *)
+let build_matrix network (net : Arnet_serial.Spec.t) ~scale ~demand =
+  match (network, net.matrix) with
+  | `Nsfnet, _ ->
     let _, m = Arnet_experiments.Internet.nominal () in
     Matrix.scale m scale
-  | `File path -> (
-    match (load_spec path).Arnet_serial.Spec.matrix with
-    | Some m -> Matrix.scale m scale
-    | None ->
-      Matrix.uniform ~nodes:(Graph.node_count graph) ~demand:(demand *. scale))
-  | `Quadrangle | `Mesh _ | `Ring _ ->
-    Matrix.uniform ~nodes:(Graph.node_count graph) ~demand:(demand *. scale)
+  | _, Some m -> Matrix.scale m scale
+  | _, None ->
+    Matrix.uniform
+      ~nodes:(Graph.node_count net.graph)
+      ~demand:(demand *. scale)
 
 let quick_arg =
   let doc = "Fewer seeds and a shorter window (for iteration)." in
@@ -178,7 +181,7 @@ let paths_cmd =
     Arg.(value & opt (some int) None & info [ "max-hops"; "H" ] ~doc)
   in
   let run network capacity src dst h =
-    let g = build_graph network capacity in
+    let g = (load_network ~cmd:"arn paths" network capacity).graph in
     let routes = Route_table.build ?h g in
     if not (Route_table.has_route routes ~src ~dst) then
       Format.fprintf ppf "no route from %d to %d@." src dst
@@ -205,7 +208,7 @@ let topology_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
   let run network capacity dot =
-    let g = build_graph network capacity in
+    let g = (load_network ~cmd:"arn topology" network capacity).graph in
     if dot then print_string (Graph.to_dot g)
     else Format.fprintf ppf "%a@." Graph.pp g
   in
@@ -438,8 +441,8 @@ let bound_cmd =
     Arg.(value & opt float 80. & info [ "demand"; "d" ] ~doc)
   in
   let run network capacity scale demand =
-    let g = build_graph network capacity in
-    let matrix = build_matrix network g ~scale ~demand in
+    let net = load_network ~cmd:"arn bound" network capacity in
+    let g = net.graph and matrix = build_matrix network net ~scale ~demand in
     let bound, cut = Arnet_bound.Erlang_bound.compute_with_argmax g matrix in
     Format.fprintf ppf "erlang cut-set bound: %.6f@." bound;
     let members =
@@ -510,15 +513,10 @@ let simulate_cmd =
         ( t.Ingest.Topo.graph,
           Matrix.scale (Ingest.Mesh.gravity t) scale )
       | None ->
-        let g = build_graph network capacity in
-        let matrix = build_matrix network g ~scale:1.0 ~demand:1.0 in
-        let matrix =
-          match network with
-          | `Nsfnet | `File _ -> Matrix.scale matrix scale
-          | `Quadrangle | `Mesh _ | `Ring _ ->
-            Matrix.uniform ~nodes:(Graph.node_count g) ~demand:scale
-        in
-        (g, matrix)
+        (* --load scales NSFNet and file demands, and is the per-pair
+           demand of a synthetic network *)
+        let net = load_network ~cmd:"arn simulate" network capacity in
+        (net.graph, build_matrix network net ~scale ~demand:1.0)
     in
     let routes = Route_table.build ?h:(import_h h topology) g in
     (* observability: fan the event stream out to whichever consumers
@@ -654,20 +652,6 @@ let simulate_cmd =
 (* arn experiment *)
 
 let experiment_cmd =
-  let exp_name =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:
-            "One of: fig1 fig2 fig3 fig6 table1 exp_h6 exp_fairness \
-             exp_minloss exp_overload ext_cellular ext_bistability \
-             ext_signalling ext_random_mesh ext_failure")
-  in
-  let csv =
-    let doc = "Also write the sweep as CSV to this file (fig3/fig6 only)." in
-    Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
-  in
   let write_csv csv points =
     match csv with
     | None -> ()
@@ -677,37 +661,66 @@ let experiment_cmd =
       close_out oc;
       Format.fprintf ppf "wrote %s@." path
   in
-  let run name quick csv =
-    let config = config_of_quick quick in
-    let module E = Arnet_experiments in
-    match name with
-    | "fig1" -> E.Fig1.print ppf (E.Fig1.run ())
-    | "fig2" -> E.Fig2.print ppf (E.Fig2.run ())
-    | "fig3" ->
-      let points = E.Quadrangle.run ~config () in
-      E.Quadrangle.print ppf points;
-      write_csv csv points
-    | "fig6" ->
-      let points = E.Internet.run ~config () in
-      E.Internet.print ppf points;
-      write_csv csv points
-    | "table1" -> E.Internet.print_table1 ppf (E.Internet.table1 ())
-    | "exp_h6" ->
-      E.Internet.print ppf
-        (E.Internet.run ~h:6 ~with_ott_krishnan:false ~config ())
-    | "exp_fairness" -> E.Internet.print_fairness ppf (E.Internet.fairness ~config ())
-    | "exp_minloss" -> E.Minloss.print ppf (E.Minloss.run ~config ())
-    | "ext_cellular" -> E.Cellular_exp.print ppf (E.Cellular_exp.run ~config ())
-    | "ext_bistability" -> E.Bistability_exp.print ppf (E.Bistability_exp.run ~config ())
-    | "ext_signalling" -> E.Signalling_exp.print ppf (E.Signalling_exp.run ~config ())
-    | "ext_random_mesh" -> E.Random_mesh.print ppf (E.Random_mesh.run ~config ())
-    | "exp_overload" -> E.Overload_exp.print ppf (E.Overload_exp.run ~config ())
-    | "ext_failure" -> E.Failure_exp.print ppf (E.Failure_exp.run ~config ())
-    | other -> Format.fprintf ppf "unknown experiment %S@." other
+  let module E = Arnet_experiments in
+  (* every experiment by name, with its runner over (config, --csv):
+     the NAME argument and its documentation both come from here *)
+  let experiments =
+    [ ("fig1", fun _ _ -> E.Fig1.print ppf (E.Fig1.run ()));
+      ("fig2", fun _ _ -> E.Fig2.print ppf (E.Fig2.run ()));
+      ( "fig3",
+        fun config csv ->
+          let points = E.Quadrangle.run ~config () in
+          E.Quadrangle.print ppf points;
+          write_csv csv points );
+      ( "fig6",
+        fun config csv ->
+          let points = E.Internet.run ~config () in
+          E.Internet.print ppf points;
+          write_csv csv points );
+      ("table1", fun _ _ -> E.Internet.print_table1 ppf (E.Internet.table1 ()));
+      ( "exp_h6",
+        fun config _ ->
+          E.Internet.print ppf
+            (E.Internet.run ~h:6 ~with_ott_krishnan:false ~config ()) );
+      ( "exp_fairness",
+        fun config _ ->
+          E.Internet.print_fairness ppf (E.Internet.fairness ~config ()) );
+      ( "exp_minloss",
+        fun config _ -> E.Minloss.print ppf (E.Minloss.run ~config ()) );
+      ( "exp_overload",
+        fun config _ ->
+          E.Overload_exp.print ppf (E.Overload_exp.run ~config ()) );
+      ( "ext_cellular",
+        fun config _ ->
+          E.Cellular_exp.print ppf (E.Cellular_exp.run ~config ()) );
+      ( "ext_bistability",
+        fun config _ ->
+          E.Bistability_exp.print ppf (E.Bistability_exp.run ~config ()) );
+      ( "ext_signalling",
+        fun config _ ->
+          E.Signalling_exp.print ppf (E.Signalling_exp.run ~config ()) );
+      ( "ext_random_mesh",
+        fun config _ ->
+          E.Random_mesh.print ppf (E.Random_mesh.run ~config ()) );
+      ( "ext_failure",
+        fun config _ ->
+          E.Failure_exp.print ppf (E.Failure_exp.run ~config ()) ) ]
   in
+  let experiment =
+    Arg.(
+      required
+      & pos 0 (some (enum experiments)) None
+      & info [] ~docv:"NAME"
+          ~doc:("The experiment: " ^ Arg.doc_alts_enum experiments ^ "."))
+  in
+  let csv =
+    let doc = "Also write the sweep as CSV to this file (fig3/fig6 only)." in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
+  in
+  let run experiment quick csv = experiment (config_of_quick quick) csv in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one reproduction experiment")
-    Term.(const run $ exp_name $ quick_arg $ csv)
+    Term.(const run $ experiment $ quick_arg $ csv)
 
 (* ------------------------------------------------------------------ *)
 (* arn dalfar *)
@@ -720,7 +733,7 @@ let dalfar_cmd =
     Arg.(value & opt int 11 & info [ "max-hops"; "H" ] ~doc)
   in
   let run network capacity src dst h =
-    let g = build_graph network capacity in
+    let g = (load_network ~cmd:"arn dalfar" network capacity).graph in
     let dv = Path_dv.compute g in
     Format.fprintf ppf
       "distance-vector protocol: %d rounds, %d messages (agrees with \
@@ -753,12 +766,12 @@ let spec_cmd =
     Arg.(value & flag & info [ "with-demands" ] ~doc)
   in
   let run network capacity with_matrix =
-    let g = build_graph network capacity in
+    let net = load_network ~cmd:"arn spec" network capacity in
     let matrix =
-      if with_matrix then Some (build_matrix network g ~scale:1.0 ~demand:1.0)
+      if with_matrix then Some (build_matrix network net ~scale:1.0 ~demand:1.0)
       else None
     in
-    print_string (Arnet_serial.Spec.to_string ?matrix g)
+    print_string (Arnet_serial.Spec.to_string ?matrix net.graph)
   in
   Cmd.v
     (Cmd.info "spec"
@@ -842,7 +855,7 @@ let lint_cmd =
   in
   let list_checks =
     let doc =
-      "List every registered check with its diagnostic codes and exit."
+      "List every check with its diagnostic codes and exit."
     in
     Arg.(value & flag & info [ "list"; "list-checks" ] ~doc)
   in
@@ -857,47 +870,27 @@ let lint_cmd =
             (fun (code, meaning) ->
               Format.fprintf ppf "  %-18s %s@." code meaning)
             c.A.Check.codes)
-        (A.Check.registered ())
+        A.Lint.checks
     end
     else begin
       let config =
         (* exit 2 on anything that prevents even assembling the
-           configuration: unreadable spec files, out-of-range overrides,
-           a bad H *)
+           configuration: unreadable files (the loaders exit 2
+           themselves), out-of-range overrides, a bad H *)
         try
-          (* load file specs directly: parse failures must reach the
-             catch below (exit 2), not load_spec's generic [exit 1],
-             which would collide with "1 = findings" *)
-          let g, spec_matrix, import =
+          let g, matrix, import =
             match topology with
             | Some path ->
-              (* exits 2 on parse errors and one-node files itself,
-                 matching the invalid-configuration convention *)
               let t = load_network_topo ~cmd:"arn lint" path in
               ( t.Ingest.Topo.graph,
-                Some (Matrix.scale (Ingest.Mesh.gravity t) scale),
+                Matrix.scale (Ingest.Mesh.gravity t) scale,
                 Some
                   { A.Check.coords = t.Ingest.Topo.coords;
                     merged_parallel = t.Ingest.Topo.merged_parallel;
                     dropped_self_loops = t.Ingest.Topo.dropped_self_loops } )
-            | None -> (
-              match network with
-              | `File path ->
-                let spec = Arnet_serial.Spec.of_file path in
-                ( spec.Arnet_serial.Spec.graph,
-                  spec.Arnet_serial.Spec.matrix,
-                  None )
-              | _ -> (build_graph network capacity, None, None))
-          in
-          let matrix =
-            match (topology, network, spec_matrix) with
-            | Some _, _, Some m -> m
-            | _, `File _, Some m -> Matrix.scale m scale
-            | _, `File _, None ->
-              Matrix.uniform
-                ~nodes:(Graph.node_count g)
-                ~demand:(demand *. scale)
-            | _ -> build_matrix network g ~scale ~demand
+            | None ->
+              let net = load_network ~cmd:"arn lint" network capacity in
+              (net.graph, build_matrix network net ~scale ~demand, None)
           in
           let routes = Route_table.build ?h:(import_h h topology) g in
           let reserves =
@@ -911,13 +904,8 @@ let lint_cmd =
               reserves.(k) <- r)
             overrides;
           A.Check.config ~routes ~matrix ~reserves ?import ~regional g
-        with
-        | Invalid_argument msg | Failure msg | Sys_error msg ->
+        with Invalid_argument msg | Failure msg ->
           Printf.eprintf "arn lint: invalid configuration: %s\n" msg;
-          exit 2
-        | Arnet_serial.Spec.Parse_error (line, msg) ->
-          Printf.eprintf "arn lint: invalid configuration: line %d: %s\n"
-            line msg;
           exit 2
       in
       let only = match only with [] -> None | names -> Some names in
@@ -1324,10 +1312,11 @@ let serve_cmd =
         ~format:(if log_json then Obs.Logger.Jsonl else Obs.Logger.Text)
         stderr
     in
-    let g = build_graph network capacity in
+    let net = load_network ~cmd:"arn serve" network capacity in
+    let g = net.graph in
     let matrix =
       if unprotected then None
-      else Some (build_matrix network g ~scale ~demand)
+      else Some (build_matrix network net ~scale ~demand)
     in
     let metrics =
       Service.Service_metrics.create ~slow_threshold:(slow_ms /. 1000.) ()
@@ -1489,8 +1478,8 @@ let load_cmd =
   in
   let run network capacity connect seed calls connections scale demand
       no_timestamps retry_for json drain binary batch =
-    let g = build_graph network capacity in
-    let matrix = build_matrix network g ~scale ~demand in
+    let net = load_network ~cmd:"arn load" network capacity in
+    let matrix = build_matrix network net ~scale ~demand in
     let result =
       try
         Service.Loadgen.run ~connections ~timestamps:(not no_timestamps)

@@ -43,26 +43,3 @@ type t = {
 }
 
 let make ?(codes = []) ~name ~describe run = { name; describe; codes; run }
-
-let registry : t list ref = ref []
-
-let register check =
-  registry := List.filter (fun c -> c.name <> check.name) !registry @ [ check ]
-
-let registered () = !registry
-let find name = List.find_opt (fun c -> c.name = name) !registry
-
-let run ?only config =
-  let checks =
-    match only with
-    | None -> !registry
-    | Some names ->
-      List.map
-        (fun name ->
-          match find name with
-          | Some c -> c
-          | None -> invalid_arg ("Check.run: unknown check " ^ name))
-        names
-  in
-  List.concat_map (fun c -> c.run config) checks
-  |> List.sort_uniq Diagnostic.compare

@@ -1,5 +1,6 @@
-(** The check registry: named static-analysis passes over a routing
-    configuration.
+(** Named static-analysis passes over a routing configuration, and
+    the configuration they read.  {!Lint.checks} lists the built-in
+    ones.
 
     A configuration bundles everything the simulator consumes — the
     topology, the two-tier route table, the traffic matrix and the
@@ -64,7 +65,7 @@ type t = {
   codes : (string * string) list;
       (** every diagnostic code the check can emit, with a one-line
           meaning — the source of truth behind [arn lint --list], so
-          the documented table cannot drift from the registry *)
+          the documented table cannot drift from the checks *)
   run : config -> Diagnostic.t list;
 }
 
@@ -74,18 +75,3 @@ val make :
   describe:string ->
   (config -> Diagnostic.t list) ->
   t
-
-val register : t -> unit
-(** Add a check to the global registry.  Re-registering a name replaces
-    the previous entry (last registration wins); the built-in checks are
-    registered by {!Lint} at module-initialisation time. *)
-
-val registered : unit -> t list
-(** All registered checks, in registration order. *)
-
-val find : string -> t option
-
-val run : ?only:string list -> config -> Diagnostic.t list
-(** Run the registered checks — all of them, or the [only] named subset —
-    and return the combined findings sorted with {!Diagnostic.compare}.
-    @raise Invalid_argument when [only] names an unknown check. *)

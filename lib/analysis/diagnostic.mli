@@ -44,13 +44,13 @@ val to_string : t -> string
 
 (** {1 JSON}
 
-    The emitted JSON is an array of objects
-    [{"code": ..., "severity": ..., "location": {...}, "message": ...}].
-    {!list_of_json} parses exactly that shape back (it is a minimal JSON
-    reader, not a general-purpose one), so
+    A list of findings is a JSON array of objects
+    [{"code": ..., "severity": ..., "location": {"kind": ..., ...},
+    "message": ...}], keys in that order, written and read by
+    {!Arnet_obs.Jsonu} (compact, one line), so
     [list_of_json (json_of_list ds) = ds] for every diagnostic list. *)
 
 val json_of_list : t list -> string
 
 val list_of_json : string -> t list
-(** @raise Invalid_argument on input that is not in the emitted shape. *)
+(** @raise Invalid_argument on input that is not JSON of that shape. *)

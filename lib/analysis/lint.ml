@@ -1,11 +1,24 @@
-let () =
-  Check.register Topology_check.check;
-  Check.register Ingest_check.check;
-  Check.register Route_check.check;
-  Check.register Protection_check.check;
-  Check.register Traffic_check.check
+let checks =
+  [ Topology_check.check;
+    Ingest_check.check;
+    Route_check.check;
+    Protection_check.check;
+    Traffic_check.check ]
 
-let run ?only config = Check.run ?only config
+let run ?only config =
+  let selected =
+    match only with
+    | None -> checks
+    | Some names ->
+      List.map
+        (fun name ->
+          match List.find_opt (fun c -> c.Check.name = name) checks with
+          | Some c -> c
+          | None -> invalid_arg ("Lint.run: unknown check " ^ name))
+        names
+  in
+  List.concat_map (fun c -> c.Check.run config) selected
+  |> List.sort_uniq Diagnostic.compare
 
 let has_errors = List.exists Diagnostic.is_error
 

@@ -1,10 +1,5 @@
-(** The lint driver: run every check over a configuration and render the
+(** The lint driver: run the checks over a configuration and render the
     findings.
-
-    Linking this module registers the four built-in checks
-    ({!Topology_check}, {!Route_check}, {!Protection_check},
-    {!Traffic_check}) in the {!Check} registry; callers can
-    {!Check.register} more before invoking {!run}.
 
     Exit-code contract (mirrored by [arn lint]): [0] when no
     error-severity finding survives (warnings and infos are advisory,
@@ -12,8 +7,16 @@
     error remains — or, under [strict], any finding at all; [2] is
     reserved by the CLI for configurations it cannot even load. *)
 
+val checks : Check.t list
+(** The five built-in checks, in the order [arn lint --list] prints
+    them: {!Topology_check}, {!Ingest_check}, {!Route_check},
+    {!Protection_check}, {!Traffic_check}. *)
+
 val run : ?only:string list -> Check.config -> Diagnostic.t list
-(** All findings, sorted errors-first ({!Diagnostic.compare}). *)
+(** The findings of every check in {!checks}, or of the [only] named
+    ones, sorted errors-first ({!Diagnostic.compare}).
+    @raise Invalid_argument ["Lint.run: unknown check NAME"] when
+    [only] names no check. *)
 
 val has_errors : Diagnostic.t list -> bool
 
@@ -28,4 +31,5 @@ val pp_text : Format.formatter -> Diagnostic.t list -> unit
 
 val to_json : Diagnostic.t list -> string
 (** The [--format=json] payload: {!Diagnostic.json_of_list} of the
-    findings (round-trips through {!Diagnostic.list_of_json}). *)
+    findings, one compact line (round-trips through
+    {!Diagnostic.list_of_json}). *)

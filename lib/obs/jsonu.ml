@@ -68,9 +68,7 @@ let to_string v =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* parsing — recursive descent over the subset we emit (the same
-   conventions as lib/analysis/diagnostic.ml, extended with floats,
-   booleans and null) *)
+(* parsing — recursive descent over the subset we emit *)
 
 exception Parse_error of string
 

@@ -1,11 +1,13 @@
-(** A minimal JSON value type with a round-trippable printer/parser.
+(** A minimal JSON value type with a round-trippable printer/parser —
+    the program's one JSON codec.
 
-    The observability layer emits and re-reads its own JSONL traces and
-    JSON metric dumps; the container ships no JSON library, so we keep a
-    dependency-free reader for exactly the values we print (the same
-    convention as [Arnet_analysis.Diagnostic], extended with floats,
-    booleans and null).  Floats print with enough digits ([%.17g]) to
-    round-trip bit-exactly. *)
+    Every JSON document the program writes or reads goes through it:
+    JSONL traces, lint findings ([Arnet_analysis.Diagnostic]), the
+    daemon's [/statz], the load generator's and the simulator's
+    [--json] results.  No JSON library is assumed, so this is a
+    dependency-free reader for exactly the values we print (objects,
+    arrays, strings, integers, floats, booleans and null).  Floats
+    print with enough digits ([%.17g]) to round-trip bit-exactly. *)
 
 type t =
   | Null

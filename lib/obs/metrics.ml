@@ -283,38 +283,3 @@ let to_prometheus t =
         (List.rev fam.rev_series))
     (names_in_order t);
   Buffer.contents buf
-
-let to_json t =
-  let open Jsonu in
-  let series_json s =
-    let labels = Obj (List.map (fun (k, v) -> (k, String v)) s.labels) in
-    let value =
-      match s.value with
-      | C { c } -> [ ("value", Float c) ]
-      | G { g } -> [ ("value", Float g) ]
-      | H h ->
-        [ ("count", Int h.count); ("sum", Float h.sum);
-          ("buckets",
-           List
-             (List.map
-                (fun (upper, cumulative) ->
-                  Obj
-                    [ ("le",
-                       if upper = infinity then String "+Inf"
-                       else Float upper);
-                      ("count", Int cumulative) ])
-                (histogram_buckets h))) ]
-    in
-    Obj (("labels", labels) :: value)
-  in
-  Obj
-    (List.map
-       (fun name ->
-         let fam = Hashtbl.find t.families name in
-         ( name,
-           Obj
-             [ ("type", String fam.kind); ("help", String fam.help);
-               ("series", List (List.rev_map series_json fam.rev_series)) ] ))
-       (names_in_order t))
-
-let to_json_string t = Jsonu.to_string (to_json t)

@@ -1,5 +1,5 @@
 (** A metrics registry: counters, gauges and fixed-bucket histograms,
-    rendered as Prometheus exposition text or JSON.
+    rendered as Prometheus exposition text.
 
     Series are identified by metric name plus a sorted label set, the
     Prometheus data model; registering the same (name, labels) twice
@@ -52,7 +52,7 @@ val add : gauge -> float -> unit
 
 val observe : histogram -> float -> unit
 
-(** {1 Reading (tests, JSON export)} *)
+(** {1 Reading (tests, syncing, the load generator's summary)} *)
 
 val counter_value : counter -> float
 val gauge_value : gauge -> float
@@ -83,6 +83,3 @@ val to_prometheus : t -> string
     line per series, histogram [_bucket]/[_sum]/[_count] expansion.
     Label values and help text are escaped per the format.
     Families render in registration order. *)
-
-val to_json : t -> Jsonu.t
-val to_json_string : t -> string

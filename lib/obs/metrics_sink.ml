@@ -79,18 +79,6 @@ let kind_counter t kind =
     Hashtbl.add t.by_kind kind c;
     c
 
-let link_gauge t link =
-  match Hashtbl.find_opt t.occupancy link with
-  | Some g -> g
-  | None ->
-    let g =
-      Metrics.gauge t.registry
-        ~labels:[ ("link", string_of_int link) ]
-        ~help:"Calls in progress on the link" "arnet_link_occupancy"
-    in
-    Hashtbl.add t.occupancy link g;
-    g
-
 let rejected_counter t link =
   match Hashtbl.find_opt t.rejected link with
   | Some c -> c
@@ -138,36 +126,36 @@ let network_gauge t table name help link =
     Hashtbl.add table link g;
     g
 
+let link_gauge t link =
+  network_gauge t t.occupancy "arnet_link_occupancy"
+    "Calls in progress on the link" link
+
+(* one value per link id the network has; a gauge in [table] of an id
+   past the end (a link deleted since it was set) reads 0 *)
+let set_links table gauge values =
+  Array.iteri (fun k v -> Metrics.set (gauge k) (float_of_int v)) values;
+  let n = Array.length values in
+  Hashtbl.iter (fun k g -> if k >= n then Metrics.set g 0.) table
+
 let set_network t ~capacities ~reserves =
-  Array.iteri
-    (fun k c ->
-      Metrics.set
-        (network_gauge t t.capacity "arnet_link_capacity"
-           "Circuits installed on the link" k)
-        (float_of_int c))
+  set_links t.capacity
+    (network_gauge t t.capacity "arnet_link_capacity"
+       "Circuits installed on the link")
     capacities;
-  Array.iteri
-    (fun k r ->
-      Metrics.set
-        (network_gauge t t.reserve "arnet_link_reserve"
-           "Trunk-reservation protection level r^k on the link" k)
-        (float_of_int r))
+  set_links t.reserve
+    (network_gauge t t.reserve "arnet_link_reserve"
+       "Trunk-reservation protection level r^k on the link")
     reserves
 
 let set_failed_links t ~link_count failed =
-  for k = 0 to link_count - 1 do
-    Metrics.set
-      (network_gauge t t.link_failed "arnet_link_failed"
-         "1 while the link is failed, else 0" k)
-      0.
-  done;
-  List.iter
-    (fun k ->
-      Metrics.set
-        (network_gauge t t.link_failed "arnet_link_failed"
-           "1 while the link is failed, else 0" k)
-        1.)
-    failed
+  let flags = Array.make link_count 0 in
+  List.iter (fun k -> flags.(k) <- 1) failed;
+  set_links t.link_failed
+    (network_gauge t t.link_failed "arnet_link_failed"
+       "1 while the link is failed, else 0")
+    flags
+
+let set_occupancy t occupancy = set_links t.occupancy (link_gauge t) occupancy
 
 (* counters only move forward; syncing to an externally held total is
    the shared idiom for state the sink does not observe event-by-event *)

@@ -8,7 +8,8 @@
     - [arnet_alt_rejected_total{link=...}] — per-link trunk-reservation
       rejections
     - [arnet_link_occupancy{link=...}] — live occupancy gauge,
-      maintained from admit/departure link sets
+      maintained from admit/departure link sets, or set through
+      {!set_occupancy} by an owner that holds the occupancy itself
     - [arnet_pair_accepted_total{src,dst}],
       [arnet_pair_blocked_total{src,dst}] — per-O-D-pair outcomes
     - [arnet_link_capacity{link=...}], [arnet_link_reserve{link=...}] —
@@ -20,7 +21,7 @@
     - [arnet_call_holding_time] — log-bucket histogram
     - [arnet_admitted_hops] — path-length histogram
     - [arnet_events_per_second], [arnet_wall_seconds] — wall-clock
-      throughput, refreshed on [flush]/[close]
+      throughput, refreshed on [flush]/[close] and by {!refresh_rates}
 
     Per-link series are cached in hash tables, so the per-event cost is
     O(path length), not O(registered series). *)
@@ -34,6 +35,12 @@ val create : Metrics.t -> t
 val emit : t -> Event.t -> unit
 val sink : t -> Sink.t
 
+(** {1 Per-link gauges set by the owner}
+
+    Each setter takes one value per link id the network has now.  A
+    gauge of an id at or past that count (a link deleted since) reads
+    0, so a shrunken network leaves no stale per-link reading. *)
+
 val set_network : t -> capacities:int array -> reserves:int array -> unit
 (** Publish the per-link capacity and protection-level gauges, indexed
     by link id.  Events carry occupancy but not the network shape, so
@@ -45,6 +52,17 @@ val set_failed_links : t -> link_count:int -> int list -> unit
     [0, link_count) reads 0 except the listed failed ids.  Like
     {!set_network}, pushed by the owner whenever liveness may have
     changed (the daemon syncs it per scrape). *)
+
+val set_occupancy : t -> int array -> unit
+(** Publish [arnet_link_occupancy] from the owner's own per-link
+    occupancy.  The daemon sets it per scrape: a [LINK ADD]/[DEL]
+    renumbers links between a call's admit and departure events, so
+    counting those events would not follow the links. *)
+
+val refresh_rates : t -> unit
+(** Bring [arnet_wall_seconds] and [arnet_events_per_second] current,
+    as [flush] and [close] do, for an owner that calls {!emit}
+    directly. *)
 
 val sync_failovers : t -> int -> unit
 (** Advance [arnet_failover_total] to the given running total (counters

@@ -56,71 +56,6 @@ let inflight_enter fl k =
 
 let inflight_exit fl k = ignore (Atomic.fetch_and_add fl.cur (-k) : int)
 
-(* [calls] are indices into [trace] *)
-let drive ~timestamps ~retry_for ~inflight ~addr (trace : Trace.t) calls =
-  let registry = Arnet_obs.Metrics.create () in
-  let acc =
-    { c_accepted = 0;
-      c_blocked = 0;
-      c_errors = 0;
-      c_teardowns = 0;
-      histogram =
-        Arnet_obs.Metrics.histogram registry ~buckets:latency_bounds
-          "arn_load_request_latency_seconds" }
-  in
-  let ic, oc = Server.connect ~retry_for addr in
-  Fun.protect
-    ~finally:(fun () ->
-      (try ignore (Server.request ic oc Wire.Quit : Wire.response)
-       with End_of_file | Failure _ | Sys_error _ -> ());
-      try close_in ic with Sys_error _ -> ())
-    (fun () ->
-      let departures = Event_queue.create () in
-      let timed_request cmd =
-        inflight_enter inflight 1;
-        let t0 = Unix.gettimeofday () in
-        let response = Server.request ic oc cmd in
-        Arnet_obs.Metrics.observe acc.histogram (Unix.gettimeofday () -. t0);
-        inflight_exit inflight 1;
-        response
-      in
-      let teardown id =
-        (match timed_request (Wire.Teardown { id }) with
-        | Wire.Done -> ()
-        | _ -> acc.c_errors <- acc.c_errors + 1);
-        acc.c_teardowns <- acc.c_teardowns + 1
-      in
-      let setup i =
-        let time = if timestamps then Some trace.Trace.times.(i) else None in
-        match
-          timed_request
-            (Wire.Setup
-               { src = trace.Trace.srcs.(i); dst = trace.Trace.dsts.(i); time })
-        with
-        | Wire.Admitted { id; _ } ->
-          acc.c_accepted <- acc.c_accepted + 1;
-          Event_queue.push_at departures ~times:trace.Trace.ends i id
-        | Wire.Blocked -> acc.c_blocked <- acc.c_blocked + 1
-        | _ -> acc.c_errors <- acc.c_errors + 1
-      in
-      Array.iter
-        (fun i ->
-          (* engine order: departures at or before the arrival instant
-             release their circuits first *)
-          Event_queue.pop_until departures ~time:trace.Trace.times.(i)
-            ~f:(fun _ id -> teardown id);
-          setup i)
-        calls;
-      let rec flush_departures () =
-        match Event_queue.pop departures with
-        | Some (_, id) ->
-          teardown id;
-          flush_departures ()
-        | None -> ()
-      in
-      flush_departures ());
-  acc
-
 (* one reply frame off the (buffered) channel: length word, payload,
    decode.  Channel buffering means one [read] syscall typically covers
    the whole frame — the client-side half of the batch amortization *)
@@ -140,14 +75,16 @@ let read_reply_frame ic =
   | Error e ->
     failwith ("Loadgen: bad reply frame: " ^ Bwire.error_to_string e)
 
-(* the same event walk as [drive], pipelined: commands accumulate into
-   a batch of up to [batch], shipped as one Bwire frame and answered by
-   one reply frame — one write/read round per batch instead of per
-   request.  Departures can only be scheduled once their SETUP's
-   verdict is read, so a teardown never rides in the same frame as (or
-   an earlier frame than) its own setup; each request's recorded
-   latency is its batch's round-trip time *)
-let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
+(* The event walk over the [calls] (indices into [trace]) in engine
+   order: departures at or before an arrival instant release their
+   circuits first.  Commands accumulate into a batch of up to [batch]
+   and ship in one round: one line each in line mode, where the batch is
+   one, or one Bwire frame each way after [HELLO binary].  A departure
+   is only scheduled once its SETUP's verdict is read, so a teardown
+   never rides in the same batch as (or an earlier one than) its own
+   setup; each request's recorded latency is its batch's round-trip
+   time *)
+let drive ~binary ~timestamps ~retry_for ~batch ~inflight ~addr
     (trace : Trace.t) calls =
   let registry = Arnet_obs.Metrics.create () in
   let acc =
@@ -161,14 +98,27 @@ let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
   in
   let ic, oc = Server.connect ~retry_for addr in
   Fun.protect
-    (* no QUIT in binary mode: closing the socket is the goodbye *)
-    ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
+    ~finally:(fun () ->
+      (* a line connection says QUIT; closing a binary one is the goodbye *)
+      (if not binary then
+         try ignore (Server.request ic oc Wire.Quit : Wire.response)
+         with End_of_file | Failure _ | Sys_error _ -> ());
+      try close_in ic with Sys_error _ -> ())
     (fun () ->
-      (match Server.request ic oc (Wire.Hello { mode = "binary" }) with
-      | Wire.Done -> ()
-      | resp ->
-        failwith
-          ("Loadgen: HELLO binary refused: " ^ Wire.print_response resp));
+      let exchange =
+        if binary then begin
+          (match Server.request ic oc (Wire.Hello { mode = "binary" }) with
+          | Wire.Done -> ()
+          | resp ->
+            failwith
+              ("Loadgen: HELLO binary refused: " ^ Wire.print_response resp));
+          fun cmds ->
+            output_string oc (Bwire.encode_commands cmds);
+            flush oc;
+            read_reply_frame ic
+        end
+        else List.map (Server.request ic oc)
+      in
       let departures = Event_queue.create () in
       (* pending batch, newest first, with the metadata the verdict
          needs: the originating call for a SETUP, nothing for a
@@ -183,9 +133,7 @@ let drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr
           pending_n := 0;
           inflight_enter inflight k;
           let t0 = Unix.gettimeofday () in
-          output_string oc (Bwire.encode_commands (List.map fst items));
-          flush oc;
-          let replies = read_reply_frame ic in
+          let replies = exchange (List.map fst items) in
           let rtt = Unix.gettimeofday () -. t0 in
           inflight_exit inflight k;
           if List.length replies <> k then
@@ -257,10 +205,8 @@ let run ?(connections = 1) ?(timestamps = true) ?(retry_for = 5.)
     invalid_arg "Loadgen.run: batch > 1 needs binary:true";
   let trace = generate_calls ~seed ~calls matrix in
   let inflight = { cur = Atomic.make 0; peak = Atomic.make 0 } in
-  let drive_one shard =
-    if binary then
-      drive_binary ~timestamps ~retry_for ~batch ~inflight ~addr trace shard
-    else drive ~timestamps ~retry_for ~inflight ~addr trace shard
+  let drive_one =
+    drive ~binary ~timestamps ~retry_for ~batch ~inflight ~addr trace
   in
   let shards =
     if connections = 1 then [ Array.init calls Fun.id ]

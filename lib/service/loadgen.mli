@@ -59,13 +59,17 @@ val run :
     protocol path.  [connections] defaults to 1; [retry_for] (default
     5 s) tolerates a daemon still binding its socket.
 
-    [binary] (default false) upgrades each connection with
-    [HELLO binary] and drives the {!Bwire} batch framing: up to
-    [batch] (default 1) commands per frame, one write/read round per
-    batch.  The event walk is the same — a teardown is only scheduled
-    once its setup's verdict has been read, so it never precedes its
-    own setup on the wire — and each request's recorded latency is its
-    batch's round-trip time, observed once per request.
+    Each connection runs one event walk, whatever the transport:
+    commands accumulate into batches of [batch] (default 1), and each
+    batch is one write/read round.  In line mode a batch is one command
+    line and its response, and the connection ends with [QUIT].
+    [binary] (default false) upgrades the connection with
+    [HELLO binary] and ships each batch as one {!Bwire} frame each way;
+    closing the socket ends it.  A teardown is only scheduled once its
+    setup's verdict has been read, so it never precedes its own setup
+    on the wire, and each request's recorded latency is its batch's
+    round-trip time, observed once per request.  So line mode and
+    [~binary:true ~batch:1] send the same commands in the same order.
     @raise Invalid_argument for [calls < 1], [connections < 1],
     [batch] outside [1 .. Bwire.max_batch], or [batch > 1] without
     [binary]; socket errors propagate as [Unix.Unix_error]. *)
@@ -82,9 +86,9 @@ val quantile : result -> float -> float
     @raise Invalid_argument outside (0, 1]. *)
 
 val to_json : result -> Arnet_obs.Jsonu.t
-(** Counts, [requests_per_s], blocking, and the latency summary
-    ([latency_mean_s], [_p50_s], [_p95_s], [_p99_s], [_max_s]) — the
-    machine-readable form the bench's [serve] section embeds. *)
+(** Counts, [requests_per_s], [requests_in_flight], blocking, and the
+    latency summary ([latency_mean_s], [_p50_s], [_p95_s], [_p99_s],
+    [_max_s]) — what [arn load --json] prints. *)
 
 val print : Format.formatter -> result -> unit
 (** The human summary [arn load] prints: counts, blocking, req/s, and

@@ -199,18 +199,22 @@ let to_prometheus t st =
   M.inc_by t.reloads (float_of_int s.Wire.reloads -. M.counter_value t.reloads);
   Arnet_obs.Metrics_sink.sync_failovers t.net s.Wire.failovers;
   M.set t.active (float_of_int s.Wire.active);
-  M.set t.occupancy
-    (float_of_int (Array.fold_left ( + ) 0 (State.occupancy st)));
+  let occupancy = State.occupancy st in
+  M.set t.occupancy (float_of_int (Array.fold_left ( + ) 0 occupancy));
   M.set t.failed (float_of_int (List.length s.Wire.failed));
   let capacities =
     Array.map
       (fun l -> l.Arnet_topology.Link.capacity)
       (Arnet_topology.Graph.links (State.graph st))
   in
+  (* per link id the graph has now: a LINK ADD/DEL renumbers links, and
+     an id it dropped reads 0 *)
   Arnet_obs.Metrics_sink.set_network t.net ~capacities
     ~reserves:(State.reserves st);
   Arnet_obs.Metrics_sink.set_failed_links t.net
     ~link_count:(Array.length capacities) s.Wire.failed;
+  Arnet_obs.Metrics_sink.set_occupancy t.net occupancy;
+  Arnet_obs.Metrics_sink.refresh_rates t.net;
   M.to_prometheus t.registry
 
 let scrape t st =

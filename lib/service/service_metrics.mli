@@ -78,9 +78,11 @@ val to_prometheus : t -> State.t -> string
     exposition text.  It sets uptime, the GC counters
     ([Gc.quick_stat]) and live-heap words, and mirrors the daemon state
     from one {!State.stats}: reloads, failovers, active calls, total
-    occupancy, failed links, and the per-link capacity, reserve and
-    failed gauges.  Since State changes only inside commands, every
-    render reads what the last command left. *)
+    occupancy, failed links, and the per-link capacity, reserve,
+    failed and occupancy gauges (a link id the graph no longer has
+    reads 0).  It also refreshes the wall-clock rate gauges.  Since
+    State changes only inside commands, every render reads what the
+    last command left. *)
 
 val scrape : t -> State.t -> string
 (** Count the scrape, then {!to_prometheus} — the [/metrics] body. *)

@@ -334,12 +334,30 @@ let test_report_format () =
   Alcotest.(check string) "pct formatting" "12.5%" (Report.pct 0.125);
   Alcotest.(check string) "pct small" "0.50%" (Report.pct 0.005)
 
+(* a mistyped experiment name is a usage error (cmdliner's 124), so a
+   script that asks for it fails *)
+let test_unknown_experiment () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let status name =
+    let argv = [| "../bin/arn.exe"; "experiment"; name |] in
+    let pid = Unix.create_process argv.(0) argv Unix.stdin null null in
+    snd (Unix.waitpid [] pid)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      Alcotest.(check bool) "fig33 is refused" true
+        (status "fig33" = Unix.WEXITED 124);
+      Alcotest.(check bool) "fig1 runs" true (status "fig1" = Unix.WEXITED 0))
+
 let () =
   Alcotest.run "experiments"
     [ ( "config",
         [ Alcotest.test_case "defaults and env" `Quick test_config ] );
       ( "figures",
-        [ Alcotest.test_case "fig1" `Quick test_fig1;
+        [ Alcotest.test_case "unknown name through arn" `Quick
+            test_unknown_experiment;
+          Alcotest.test_case "fig1" `Quick test_fig1;
           Alcotest.test_case "fig2" `Quick test_fig2;
           Alcotest.test_case "table1 quality" `Quick test_table1_quality ] );
       ( "golden",

@@ -388,6 +388,27 @@ let test_cli_degenerate_files () =
             (network_cmds path)))
     [ (".gml", "graph [ node [ id 0 ] ]"); (".dot", "digraph g { a; }") ]
 
+(* [-n file:PATH] naming a missing or malformed spec: exit 2 (lint's 1
+   means findings) and one stderr line that names the file *)
+let test_cli_bad_spec_files () =
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "arnet-no-such-file.spec"
+  in
+  if Sys.file_exists missing then Sys.remove missing;
+  with_topology_file ".spec" "nodes 3\nlink 0 1 x\n" (fun malformed ->
+      List.iter
+        (fun path ->
+          List.iter
+            (fun (cmd, args) ->
+              check_usage_error
+                (cmd ^ " " ^ Filename.basename path)
+                ~prefix:(Printf.sprintf "arn %s: %s" cmd path)
+                (args @ [ "-n"; "file:" ^ path ]))
+            [ ("simulate", [ "simulate"; "--quick" ]);
+              ("paths", [ "paths"; "0"; "1" ]);
+              ("lint", [ "lint" ]) ])
+        [ missing; malformed ])
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -403,7 +424,9 @@ let () =
        [ Alcotest.test_case "malformed gml" `Quick test_gml_errors;
          Alcotest.test_case "malformed dot" `Quick test_dot_errors;
          Alcotest.test_case "degenerate files through arn" `Quick
-           test_cli_degenerate_files ]);
+           test_cli_degenerate_files;
+         Alcotest.test_case "bad spec files through arn" `Quick
+           test_cli_bad_spec_files ]);
       ("dot",
        [ Alcotest.test_case "semantics" `Quick test_dot_semantics;
          Alcotest.test_case "reads Graph.to_dot" `Quick

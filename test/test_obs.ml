@@ -515,17 +515,7 @@ let test_metrics_rendering () =
   check_contains "histogram bucket" text {|latency_bucket{le="1.0"} 1|};
   check_contains "inf bucket" text {|latency_bucket{le="+Inf"} 1|};
   check_contains "histogram sum" text "latency_sum 0.5";
-  check_contains "histogram count" text "latency_count 1";
-  (* JSON rendering parses and carries the same figures *)
-  let json = J.parse (Obs.Metrics.to_json_string reg) in
-  let counter_family = J.member_exn "events_total" json in
-  Alcotest.(check string) "json kind" "counter"
-    (J.as_string (J.member_exn "type" counter_family));
-  (match J.as_list (J.member_exn "series" counter_family) with
-  | [ s ] ->
-    Alcotest.(check (float 0.)) "json value" 7.
-      (J.as_float (J.member_exn "value" s))
-  | l -> Alcotest.failf "expected 1 series, got %d" (List.length l))
+  check_contains "histogram count" text "latency_count 1"
 
 (* finding or adding a series is O(1) in the family's size: 20 000
    label sets, the per-pair families of a 142-node network, register
