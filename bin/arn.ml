@@ -847,11 +847,17 @@ let lint_cmd =
     Arg.(value & flag & info [ "regional" ] ~doc)
   in
   let only =
-    let doc =
-      "Run only this check (repeatable): one of the names shown by \
-       $(b,--list-checks)."
+    let names =
+      List.map
+        (fun (c : Arnet_analysis.Check.t) ->
+          (c.Arnet_analysis.Check.name, c.Arnet_analysis.Check.name))
+        Arnet_analysis.Lint.checks
     in
-    Arg.(value & opt_all string [] & info [ "check" ] ~docv:"NAME" ~doc)
+    let doc =
+      "Run only this check (repeatable): " ^ Arg.doc_alts_enum names
+      ^ ", as $(b,--list-checks) describes them."
+    in
+    Arg.(value & opt_all (enum names) [] & info [ "check" ] ~docv:"NAME" ~doc)
   in
   let list_checks =
     let doc =
@@ -909,12 +915,7 @@ let lint_cmd =
           exit 2
       in
       let only = match only with [] -> None | names -> Some names in
-      let findings =
-        try A.Lint.run ?only config
-        with Invalid_argument msg ->
-          Printf.eprintf "arn lint: %s\n" msg;
-          exit 2
-      in
+      let findings = A.Lint.run ?only config in
       (match format with
       | `Text -> Format.fprintf ppf "%a" A.Lint.pp_text findings
       | `Json -> Format.fprintf ppf "%s@." (A.Lint.to_json findings));

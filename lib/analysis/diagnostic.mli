@@ -28,9 +28,6 @@ val error : code:string -> location -> string -> t
 val warning : code:string -> location -> string -> t
 val info : code:string -> location -> string -> t
 
-val severity_label : severity -> string
-(** ["error"], ["warning"] or ["info"]. *)
-
 val is_error : t -> bool
 
 val compare : t -> t -> int

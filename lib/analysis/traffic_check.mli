@@ -18,7 +18,3 @@
 val check : Check.t
 
 val run : Check.config -> Diagnostic.t list
-
-val load_tolerance : float
-(** Relative tolerance (on [max target 1.0]) above which declared and
-    derived link loads count as mismatched. *)

@@ -72,14 +72,6 @@ let is_bistable ?(gap = 0.01) ?attempts ~offered ~capacity ~reserve () =
   let hot = fixed_point_from ?attempts ~offered ~capacity ~reserve `Hot in
   Float.abs (hot.network_blocking -. cold.network_blocking) > gap
 
-let hysteresis_scan ?attempts ~offered ~capacity ~reserve () =
-  List.map
-    (fun load ->
-      ( load,
-        fixed_point_from ?attempts ~offered:load ~capacity ~reserve `Cold,
-        fixed_point_from ?attempts ~offered:load ~capacity ~reserve `Hot ))
-    offered
-
 let critical_load ?lo ?hi ?(precision = 0.05) ?attempts ~capacity ~reserve () =
   if precision <= 0. then invalid_arg "Bistability.critical_load: precision";
   let lo = match lo with Some x -> x | None -> 0.5 *. float_of_int capacity in

@@ -54,11 +54,6 @@ val is_bistable :
 (** Whether the cold- and hot-start fixed points differ by more than
     [gap] (default 0.01) in network blocking. *)
 
-val hysteresis_scan :
-  ?attempts:int -> offered:float list -> capacity:int -> reserve:int ->
-  unit -> (float * fixed_point * fixed_point) list
-(** Per offered load: [(load, cold fixed point, hot fixed point)]. *)
-
 val critical_load :
   ?lo:float -> ?hi:float -> ?precision:float -> ?attempts:int ->
   capacity:int -> reserve:int -> unit -> float option

@@ -106,7 +106,15 @@ let compile ?observer ?(choice = Table) ~name ~routes ~admission
           ~u:trace.Trace.us.(i)
   in
   (* a sampled primary that is the table's decides on the pair's plan;
-     any other gets its alternates from the table, per call *)
+     any other attempts the pair's other candidates, which the table
+     builds once per pair here *)
+  let candidates =
+    match choice with
+    | Table -> [||]
+    | Sampled _ ->
+      pair_table routes ~unroutable:[] (fun ~src ~dst ->
+          Route_table.candidates routes ~src ~dst)
+  in
   let plan_of (trace : Trace.t) i =
     let plan = table_plan trace i in
     match choice with
@@ -116,9 +124,10 @@ let compile ?observer ?(choice = Table) ~name ~routes ~admission
       | None, _ -> unroutable
       | Some p, Some q when q == p || Path.equal q p -> plan
       | Some p, _ ->
-        let src = trace.Trace.srcs.(i) and dst = trace.Trace.dsts.(i) in
+        let k = (trace.Trace.srcs.(i) * n) + trace.Trace.dsts.(i) in
         plan_of_paths p
-          (Array.of_list (Route_table.alternates_excluding routes ~src ~dst p)))
+          (Array.of_list
+             (List.filter (fun q -> not (Path.equal q p)) candidates.(k))))
   in
   let decide ~occupancy (trace : Trace.t) i =
     let plan = plan_of trace i in

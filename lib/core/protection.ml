@@ -47,16 +47,11 @@ let per_link_h routes =
   let g = Route_table.graph routes in
   let n = Arnet_topology.Graph.node_count g in
   let hs = Array.make (Arnet_topology.Graph.link_count g) 1 in
+  let longest () ~hops k = if hops > hs.(k) then hs.(k) <- hops in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then
-        List.iter
-          (fun p ->
-            let hops = Path.hops p in
-            List.iter
-              (fun k -> if hops > hs.(k) then hs.(k) <- hops)
-              (Path.link_ids p))
-          (Route_table.alternates routes ~src ~dst)
+        Route_table.fold_alternate_links routes ~src ~dst longest ()
     done
   done;
   hs

@@ -168,6 +168,12 @@ let unpriced =
 
 let priced_plan routes ~src ~dst =
   let paths = Array.of_list (Route_table.all_paths routes ~src ~dst) in
+  (* the primary is the path of its own outcome, so the engine tells a
+     primary admission by physical equality *)
+  let primary =
+    let p = Route_table.primary routes ~src ~dst in
+    Option.value ~default:p (Array.find_opt (Path.equal p) paths)
+  in
   let ends = Array.make (Array.length paths) 0 in
   let total = ref 0 in
   Array.iteri
@@ -175,7 +181,7 @@ let priced_plan routes ~src ~dst =
       total := !total + Path.hops p;
       ends.(j) <- !total)
     paths;
-  { priced_primary = Some (Route_table.primary routes ~src ~dst);
+  { priced_primary = Some primary;
     priced_links =
       Array.concat (List.map (fun p -> p.Path.link_ids) (Array.to_list paths));
     priced_ends = ends;

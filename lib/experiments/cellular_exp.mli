@@ -10,9 +10,6 @@ type point = {
   controlled : Arnet_sim.Stats.summary;
 }
 
-val default_offered : float list
-(** Per-cell loads around C = 50: 30 .. 55. *)
-
 val run :
   ?rows:int -> ?cols:int -> ?capacity:int -> ?offered:float list ->
   ?hot_spot:float ->

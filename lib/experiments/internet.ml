@@ -8,8 +8,6 @@ let nominal () =
   let routes, fit = Fit.nsfnet_nominal () in
   (routes, fit.Fit.matrix)
 
-let paper_load_of_scale scale = 10. *. scale
-
 let default_scales = [ 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0; 1.1; 1.2; 1.3; 1.4 ]
 
 let run ?(h = 11) ?(scales = default_scales) ?(failed_links = [])

@@ -13,12 +13,6 @@ val nominal : unit -> Route_table.t * Matrix.t
 (** Unrestricted (H = 11) route table over the backbone and the fitted
     nominal matrix.  Recomputed on each call (cheap, deterministic). *)
 
-val paper_load_of_scale : float -> float
-(** Scale 1.0 is the paper's Load=10 axis value: [10 * scale]. *)
-
-val default_scales : float list
-(** 0.4 .. 1.4 around nominal. *)
-
 val run :
   ?h:int ->
   ?scales:float list ->

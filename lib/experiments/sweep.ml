@@ -34,17 +34,6 @@ let print ?(x_label = "load") ppf points =
         (p.bound :: List.map (fun (_, s) -> s.Stats.mean) p.schemes))
     points
 
-let print_with_errors ppf points =
-  Report.series_header ppf
-    ~columns:("load" :: "erlang-bound" :: columns points);
-  List.iter
-    (fun p ->
-      Report.series_row ppf ~x:p.x
-        (p.bound :: List.map (fun (_, s) -> s.Stats.mean) p.schemes);
-      Report.series_row_s ppf ~x:"+/-"
-        (0. :: List.map (fun (_, s) -> s.Stats.std_error) p.schemes))
-    points
-
 let scheme_mean point name =
   match List.assoc_opt name point.schemes with
   | Some s -> s.Stats.mean

@@ -27,9 +27,6 @@ val print :
 (** Table with the bound and the per-scheme mean blocking (column order
     from the first point). *)
 
-val print_with_errors : Format.formatter -> point list -> unit
-(** Adds across-seed standard errors in a second row per point. *)
-
 val scheme_mean : point -> string -> float
 (** Mean blocking of a named scheme at a point.
     @raise Not_found when the scheme is absent. *)

@@ -27,8 +27,6 @@ let make ?(name = "topology") ?coords ?(merged_parallel = 0)
     invalid_arg "Topo.make: negative cleanup counter";
   { name; graph; coords; merged_parallel; dropped_self_loops }
 
-let of_graph ?name graph = make ?name graph
-
 let equal a b =
   let ga = a.graph and gb = b.graph in
   a.name = b.name

@@ -32,9 +32,6 @@ val make :
     contain only finite floats.
     @raise Invalid_argument on length or finiteness violations. *)
 
-val of_graph : ?name:string -> Graph.t -> t
-(** [make] with no coordinates and zero counters. *)
-
 val equal : t -> t -> bool
 (** Structural equality: name, node labels, links (ids, endpoints,
     capacities) and coordinates.  The cleanup counters are metadata

@@ -52,13 +52,6 @@ let mean_occupied ~capacity classes =
   Array.iteri (fun j p -> acc := !acc +. (float_of_int j *. p)) q;
   !acc
 
-let total_carried_load ~capacity classes =
-  let blocking = class_blocking ~capacity classes in
-  List.fold_left2
-    (fun acc { offered; bandwidth } b ->
-      acc +. (offered *. float_of_int bandwidth *. (1. -. b)))
-    0. classes blocking
-
 let reservation_blocking ~capacity ~reserve classes =
   if reserve < 0 || reserve >= capacity then
     invalid_arg "Kaufman_roberts.reservation_blocking: reserve out of range";

@@ -27,9 +27,6 @@ val class_blocking : capacity:int -> class_load list -> float list
 val mean_occupied : capacity:int -> class_load list -> float
 (** Expected busy capacity units. *)
 
-val total_carried_load : capacity:int -> class_load list -> float
-(** [sum_k a_k b_k (1 - B_k)] — carried bandwidth load. *)
-
 val reservation_blocking :
   capacity:int -> reserve:int -> class_load list -> float list
 (** Per-class blocking when the top [reserve] units are barred to *all*

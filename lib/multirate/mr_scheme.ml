@@ -6,16 +6,17 @@ open Arnet_core
 let bandwidth_loads routes workload =
   let g = Route_table.graph routes in
   let loads = Array.make (Graph.link_count g) 0. in
+  let add x k =
+    loads.(k) <- loads.(k) +. x;
+    x
+  in
   Array.iteri
     (fun ci matrix ->
       let b =
         float_of_int workload.Mr_trace.classes.(ci).Call_class.bandwidth
       in
       Matrix.iter_demands matrix (fun src dst d ->
-          if Route_table.has_route routes ~src ~dst then
-            List.iter
-              (fun k -> loads.(k) <- loads.(k) +. (b *. d))
-              (Path.link_ids (Route_table.primary routes ~src ~dst))))
+          ignore (Route_table.fold_primary_links routes ~src ~dst add (b *. d))))
     workload.Mr_trace.demands;
   loads
 

@@ -26,8 +26,6 @@ val json_content_type : string
 
 val ok : content_type:string -> string -> response
 val bad_request : string -> response
-val not_found : string -> response
-val method_not_allowed : string -> response
 
 val parse_request_line : string -> (string * string, string) result
 (** [Ok (method, target)] for a well-formed [METHOD TARGET HTTP/x.y]

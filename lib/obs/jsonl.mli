@@ -5,14 +5,9 @@
     line-buffered through the channel; reading is streaming, so
     arbitrarily long traces summarize in constant memory. *)
 
-val sink_of_channel : ?close_channel:bool -> out_channel -> Sink.t
-(** Events append as single lines.  [Sink.close] flushes, and closes
-    the channel when [close_channel] (default false). *)
-
 val sink_of_file : string -> Sink.t
-(** Truncate-open [path]; [Sink.close] closes it. *)
-
-val write_event : out_channel -> Event.t -> unit
+(** Truncate-open [path]; events append as single lines, and
+    [Sink.close] flushes and closes the file. *)
 
 val fold_file :
   string -> init:'a -> f:('a -> Event.t -> 'a) -> 'a

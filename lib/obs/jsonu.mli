@@ -30,10 +30,9 @@ val float_to_string : float -> string
 (** The printer's float convention, exposed for non-[t] emitters (the
     Prometheus renderer). *)
 
-(** Accessors; all but {!member} raise {!Parse_error} on a shape
-    mismatch, so readers surface one uniform error type. *)
+(** Accessors; they raise {!Parse_error} on a shape mismatch, so
+    readers surface one uniform error type. *)
 
-val member : string -> t -> t option
 val member_exn : string -> t -> t
 val as_int : t -> int
 val as_float : t -> float

@@ -25,53 +25,6 @@ let dfs ?max_hops g ~src ~dst ~visit =
   in
   explore src 0
 
-let by_hops a b = Int.compare (Path.hops a) (Path.hops b)
-
-let paths_from ?max_hops g ~src =
-  let n = Graph.node_count g in
-  if src < 0 || src >= n then invalid_arg "Enumerate.paths_from: bad node index";
-  (match max_hops with
-  | Some h when h < 1 -> invalid_arg "Enumerate.paths_from: max_hops < 1"
-  | _ -> ());
-  (* a one-node graph clamps [cap] to 0: an empty row, not an error *)
-  let cap = match max_hops with None -> n - 1 | Some h -> min h (n - 1) in
-  let acc = Array.make n [] in
-  let on_path = Array.make n false in
-  let nodes = Array.make (cap + 1) 0 and links = Array.make cap 0 in
-  (* one DFS tree for the whole row: every visited prefix *is* a simple
-     path to its endpoint, so each destination's bucket collects exactly
-     the set the per-pair [dfs] would have found — at the cost of one
-     tree instead of [n - 1] almost-identical ones.  The link stack
-     rides beside the node stack, so no prefix looks a link up. *)
-  let rec explore v depth =
-    nodes.(depth) <- v;
-    if depth > 0 then
-      acc.(v) <-
-        Path.with_link_ids_unchecked
-          ~nodes:(Array.sub nodes 0 (depth + 1))
-          ~link_ids:(Array.sub links 0 depth)
-        :: acc.(v);
-    if depth < cap then begin
-      on_path.(v) <- true;
-      extend depth (Graph.out_links g v);
-      on_path.(v) <- false
-    end
-  and extend depth = function
-    | [] -> ()
-    | (l : Link.t) :: rest ->
-      if not on_path.(l.Link.dst) then begin
-        links.(depth) <- l.Link.id;
-        explore l.Link.dst (depth + 1)
-      end;
-      extend depth rest
-  in
-  explore src 0;
-  (* pre-order over ascending out-links visits each bucket's paths in
-     lexicographic order (none is a prefix of another: they share their
-     last node); reversed, then stably sorted by hop count, that is the
-     (hops, lex) order of [Path.compare_by_length] *)
-  Array.map (fun bucket -> List.stable_sort by_hops (List.rev bucket)) acc
-
 let simple_paths ?max_hops g ~src ~dst =
   let acc = ref [] in
   dfs ?max_hops g ~src ~dst ~visit:(fun nodes ->

@@ -12,11 +12,14 @@ type t = private {
 }
 (** Aliasing invariant: both arrays are logically immutable and are
     shared, never copied — the simulator holds [link_ids] itself for
-    every call admitted on the path until the call departs, and the
-    route table hands out the same {!t} values for the lifetime of a
-    run.  Consumers must treat the arrays as read-only; mutating one
-    corrupts every call in progress and routing decision that aliases
-    it. *)
+    every call admitted on the path until the call departs, and a
+    compiled plan (built once per pair by [Arnet_core.Controller.plans]
+    and the custom schemes) hands out the same {!t} values, and the
+    outcomes built on them, for the lifetime of a run.  Consumers must
+    treat the arrays as read-only; mutating one corrupts every call in
+    progress and routing decision that aliases it.  The route table
+    stores no {!t}: it builds a fresh one from its rows on each
+    request. *)
 
 val make : Graph.t -> int list -> t
 (** [make g nodes] checks that consecutive nodes are linked in [g] and
@@ -31,13 +34,11 @@ val with_link_ids_unchecked : nodes:int array -> link_ids:int array -> t
 (** Fully trusted constructor: no graph lookup at all.  The caller owns
     both invariants — [nodes] is a loop-free path and [link_ids.(i)] is
     the id of link [nodes.(i) -> nodes.(i+1)] in whatever graph the path
-    will be used against.  Exists for walks that already hold each
-    link — {!Enumerate.paths_from} keeps a link stack beside its node
-    stack, {!Bfs.greedy_walk} steps along out-links — and for
-    {!Route_table.patch}, which relocates surviving paths onto a graph
-    whose link ids were renumbered by
-    {!Arnet_topology.Graph.without_links}; both arrays are adopted
-    without copying (see the aliasing invariant above).
+    will be used against.  Exists for code that already holds each
+    link — {!Bfs.greedy_walk} steps along out-links, and
+    {!Route_table} reads a stored path's link ids and their
+    destinations off its rows; both arrays are adopted without copying
+    (see the aliasing invariant above).
     @raise Invalid_argument on a length mismatch. *)
 
 val hops : t -> int

@@ -76,9 +76,6 @@ val run :
 
 val requests_per_second : result -> float
 
-val mean_latency : result -> float
-(** Seconds; 0 when nothing was measured. *)
-
 val quantile : result -> float -> float
 (** Latency quantile in seconds estimated from the histogram (upper
     bound of the bucket containing the quantile; the top bucket

@@ -127,9 +127,6 @@ let drained t = t.draining && Hashtbl.length t.active = 0
 let occupancy t = Array.copy t.occupancy
 let reserves t = Array.copy t.reserves
 
-let estimated_loads t =
-  Array.map (fun e -> Estimator.estimate e ~now:t.clock) t.estimators
-
 let failed_links t =
   let acc = ref [] in
   for k = Array.length t.failed - 1 downto 0 do

@@ -84,7 +84,7 @@ val repair : t -> link:int -> Wire.response
 
 val link_add : t -> src:int -> dst:int -> capacity:int -> Wire.response
 (** Add a directed link [src -> dst] and incrementally patch the route
-    table ({!Arnet_routes.Route_table.patch} semantics: only the pairs
+    table ({!Arnet_paths.Route_table.patch} semantics: only the pairs
     whose route sets change are recompiled).  The new link gets the
     next free id; existing ids are untouched, and its fresh estimator
     inherits the daemon's window/smoothing settings.  Returns [Patched]
@@ -128,9 +128,6 @@ val occupancy : t -> int array
 
 val reserves : t -> int array
 (** Current protection levels [r^k] (fresh copy). *)
-
-val estimated_loads : t -> float array
-(** Per-link demand estimates at the current clock (fresh copy). *)
 
 val failed_links : t -> int list
 (** Currently failed link ids, ascending. *)

@@ -301,6 +301,3 @@ let equal_response a b =
   | Stats_reply a, Stats_reply b -> a = b
   | Err a, Err b -> a.code = b.code && a.detail = b.detail
   | _ -> false
-
-let pp_command ppf c = Format.pp_print_string ppf (print_command c)
-let pp_response ppf r = Format.pp_print_string ppf (print_response r)

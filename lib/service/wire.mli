@@ -41,7 +41,7 @@ type command =
   | Reload
   | Link_add of { src : int; dst : int; capacity : int }
       (** Add one directed link and incrementally patch the route
-          table ({!Arnet_routes.Route_table.patch}); the new link gets
+          table ({!Arnet_paths.Route_table.patch}); the new link gets
           the next free id. *)
   | Link_del of { src : int; dst : int }
       (** Remove the directed link [src -> dst]: active calls holding
@@ -106,6 +106,3 @@ val parse_response : string -> (response, string) result
 
 val equal_command : command -> command -> bool
 val equal_response : response -> response -> bool
-
-val pp_command : Format.formatter -> command -> unit
-val pp_response : Format.formatter -> response -> unit

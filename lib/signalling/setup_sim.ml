@@ -58,6 +58,22 @@ let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
   let carried_primary = ref 0 and carried_alternate = ref 0 in
   let glare_events = ref 0 and setup_attempts = ref 0 in
   let total_setup_latency = ref 0. in
+  (* each pair's attempt list, primary first, taken from the table once
+     per run: the table builds its paths on every request *)
+  let n = Graph.node_count graph in
+  let attempts =
+    Array.init (n * n) (fun k ->
+        let src = k / n and dst = k mod n in
+        if src = dst || not (Route_table.has_route routes ~src ~dst) then []
+        else
+          (Route_table.primary routes ~src ~dst, true)
+          ::
+          (if allow_alternates then
+             List.map
+               (fun p -> (p, false))
+               (Route_table.alternates routes ~src ~dst)
+           else []))
+  in
   Array.iteri (fun i time -> Event_queue.push queue ~time (Arrival i)) times;
   let link_admits s k =
     if s.is_primary then Admission.link_admits_primary admission ~occupancy k
@@ -78,21 +94,9 @@ let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
     | Arrival i ->
       let measured = times.(i) >= warmup in
       if measured then incr offered;
-      let src = srcs.(i) and dst = dsts.(i) in
-      if not (Route_table.has_route routes ~src ~dst) then begin
-        if measured then incr blocked
-      end
-      else begin
-        let primary = Route_table.primary routes ~src ~dst in
-        let candidates =
-          (primary, true)
-          ::
-          (if allow_alternates then
-             List.map
-               (fun p -> (p, false))
-               (Route_table.alternates_excluding routes ~src ~dst primary)
-           else [])
-        in
+      (match attempts.((srcs.(i) * n) + dsts.(i)) with
+      | [] -> if measured then incr blocked
+      | (primary, _) :: _ as candidates ->
         let s =
           { arrival_time = times.(i);
             holding = holdings.(i);
@@ -102,8 +106,7 @@ let run ?(warmup = 10.) ?(hop_latency = 0.01) ~graph ~routes ~reserves
             is_primary = true;
             booked = [] }
         in
-        next_attempt s ~time
-      end
+        next_attempt s ~time)
     | Forward (s, i) ->
       let ids = s.path.Path.link_ids in
       if not (link_admits s ids.(i)) then

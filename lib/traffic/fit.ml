@@ -50,13 +50,12 @@ let to_link_loads ?seed ?(tolerance = 1e-6) ?(max_iterations = 5_000) routes
       let adjust i j d =
         if d = 0. || not (Route_table.has_route routes ~src:i ~dst:j) then d
         else begin
-          let p = Route_table.primary routes ~src:i ~dst:j in
-          let ids = Path.link_ids p in
-          let log_sum =
-            List.fold_left (fun acc k -> acc +. log (ratio k)) 0. ids
+          let fold f init =
+            Route_table.fold_primary_links routes ~src:i ~dst:j f init
           in
-          let geo_mean = exp (log_sum /. float_of_int (List.length ids)) in
-          d *. geo_mean
+          let log_sum = fold (fun acc k -> acc +. log (ratio k)) 0. in
+          let hops = fold (fun hops _ -> hops + 1) 0 in
+          d *. exp (log_sum /. float_of_int hops)
         end
       in
       current := Matrix.map !current adjust;

@@ -6,12 +6,14 @@ let primary_link_loads routes t =
   if Graph.node_count g <> Matrix.nodes t then
     invalid_arg "Loads.primary_link_loads: size mismatch";
   let loads = Array.make (Graph.link_count g) 0. in
+  (* the demand rides the fold as its accumulator, so no closure is
+     built per pair *)
+  let add d k =
+    loads.(k) <- loads.(k) +. d;
+    d
+  in
   Matrix.iter_demands t (fun i j d ->
-      if Route_table.has_route routes ~src:i ~dst:j then
-        let p = Route_table.primary routes ~src:i ~dst:j in
-        List.iter
-          (fun id -> loads.(id) <- loads.(id) +. d)
-          (Path.link_ids p));
+      ignore (Route_table.fold_primary_links routes ~src:i ~dst:j add d));
   loads
 
 let link_load_error ~target got =
@@ -29,9 +31,12 @@ let offered_to_pair_paths routes t =
   let acc = ref [] in
   Matrix.iter_demands t (fun i j d ->
       if Route_table.has_route routes ~src:i ~dst:j then begin
-        let p = Route_table.primary routes ~src:i ~dst:j in
+        let links =
+          Route_table.fold_primary_links routes ~src:i ~dst:j
+            (fun ids k -> k :: ids) []
+        in
         acc :=
-          { Arnet_erlang.Reduced_load.offered = d; links = Path.link_ids p }
+          { Arnet_erlang.Reduced_load.offered = d; links = List.rev links }
           :: !acc
       end);
   List.rev !acc

@@ -215,6 +215,26 @@ let test_registry () =
     (Invalid_argument "Lint.run: unknown check nonsense") (fun () ->
       ignore (Lint.run ~only:[ "nonsense" ] (quadrangle_config ())))
 
+(* arn lint takes --check names from Lint.checks: an unknown one is a
+   usage error (cmdliner's 124, with the list of names), not a failed
+   configuration (2) *)
+let test_unknown_check_through_arn () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let status check =
+    let argv =
+      [| "../bin/arn.exe"; "lint"; "-n"; "quadrangle"; "--check"; check |]
+    in
+    let pid = Unix.create_process argv.(0) argv Unix.stdin null null in
+    snd (Unix.waitpid [] pid)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      Alcotest.(check bool) "nonsense is a usage error" true
+        (status "nonsense" = Unix.WEXITED 124);
+      Alcotest.(check bool) "routes runs clean" true
+        (status "routes" = Unix.WEXITED 0))
+
 (* ------------------------------------------------------------------ *)
 (* import checks: silent without importer metadata, escalating with it *)
 
@@ -362,6 +382,8 @@ let () =
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "lint json pinned" `Quick test_lint_json_pin;
           Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "unknown check through arn" `Quick
+            test_unknown_check_through_arn;
         ] );
       ( "import",
         [

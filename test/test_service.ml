@@ -978,7 +978,7 @@ let test_socket_drain_snapshot () =
       Alcotest.(check int) "daemon agreed" result.Loadgen.accepted
         (State.stats st).Wire.accepted)
 
-let test_socket_sharded_connections () =
+let test_socket_concurrent_connections () =
   (* throughput mode: counts still conserved, daemon still drains *)
   let g = quadrangle () in
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
@@ -2055,8 +2055,8 @@ let () =
             test_socket_determinism;
           Alcotest.test_case "drain writes the snapshot" `Slow
             test_socket_drain_snapshot;
-          Alcotest.test_case "sharded connections" `Slow
-            test_socket_sharded_connections;
+          Alcotest.test_case "concurrent connections" `Slow
+            test_socket_concurrent_connections;
           Alcotest.test_case "failure storm is deterministic" `Slow
             test_socket_failure_storm;
           Alcotest.test_case "oversized lines are rejected" `Quick
@@ -2076,7 +2076,7 @@ let () =
           Alcotest.test_case "slow log keeps the newest 32" `Quick
             test_slow_log_keeps_newest ] );
       ( "sharded",
-        [ Alcotest.test_case "--domains 1 is the pre-sharding daemon" `Slow
+        [ Alcotest.test_case "frozen single-loop transcript" `Slow
             test_golden_transcript_d1;
           Alcotest.test_case "merged order replays decision for decision"
             `Slow test_merged_order;
@@ -2086,5 +2086,5 @@ let () =
             test_binary_batch_loadgen;
           Alcotest.test_case "line and binary transports decide alike" `Slow
             test_loadgen_transports_agree;
-          Alcotest.test_case "batch and domain series scrape" `Slow
+          Alcotest.test_case "batch series scrape" `Slow
             test_batch_metrics_scrape ] ) ]
