@@ -1,30 +1,37 @@
 open Arnet_topology
 
-let bfs n start neighbours =
-  let dist = Array.make n max_int in
-  let queue = Queue.create () in
-  dist.(start) <- 0;
-  Queue.add start queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    let relax w =
+(* breadth-first over [links_of v], reaching [endpoint l]: each node
+   enters the array queue once, and no list is built per node *)
+let bfs n start links_of endpoint =
+  let dist = Array.make n max_int and queue = Array.make n start in
+  let tail = ref 1 in
+  let rec relax d = function
+    | [] -> ()
+    | (l : Link.t) :: rest ->
+      let w = endpoint l in
       if dist.(w) = max_int then begin
-        dist.(w) <- dist.(v) + 1;
-        Queue.add w queue
-      end
-    in
-    List.iter relax (neighbours v)
+        dist.(w) <- d;
+        queue.(!tail) <- w;
+        incr tail
+      end;
+      relax d rest
+  in
+  dist.(start) <- 0;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    relax (dist.(v) + 1) (links_of v)
   done;
   dist
 
 let distances g ~src =
   if src < 0 || src >= Graph.node_count g then invalid_arg "Bfs.distances: bad source node";
-  bfs (Graph.node_count g) src (Graph.successors g)
+  bfs (Graph.node_count g) src (Graph.out_links g) (fun (l : Link.t) -> l.Link.dst)
 
 let distances_to g ~dst =
   if dst < 0 || dst >= Graph.node_count g then invalid_arg "Bfs.distances_to: bad destination node";
-  let preds v = List.map (fun (l : Link.t) -> l.Link.src) (Graph.in_links g v) in
-  bfs (Graph.node_count g) dst preds
+  bfs (Graph.node_count g) dst (Graph.in_links g) (fun (l : Link.t) -> l.Link.src)
 
 let greedy_walk g ~dist ~src ~dst =
   if src = dst then invalid_arg "Bfs.greedy_walk: src = dst";
