@@ -90,8 +90,9 @@ val compile :
     per ordered O-D pair at construction, at the call's bandwidth.  With
     table primaries (the default [choice]) and no [observer], the
     steady-state per-call path allocates nothing.  A [Sampled] primary
-    that is the table's uses the pair's plan; any other gets its
-    alternates per call from {!Route_table.alternates_excluding}.  An
+    that is the table's uses the pair's plan; any other attempts the
+    pair's other {!Route_table.candidates}, taken from the table once per
+    pair at construction and filtered per call.  An
     [observer] hears each decision after it is made, so it cannot change
     one: one [Primary_attempt] per routable call (admitted iff the
     primary was routed), then one [Alternate_rejected] per alternate
