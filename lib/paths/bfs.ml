@@ -33,8 +33,9 @@ let distances_to g ~dst =
   if dst < 0 || dst >= Graph.node_count g then invalid_arg "Bfs.distances_to: bad destination node";
   bfs (Graph.node_count g) dst (Graph.in_links g) (fun (l : Link.t) -> l.Link.src)
 
-let greedy_walk g ~dist ~src ~dst =
-  if src = dst then invalid_arg "Bfs.greedy_walk: src = dst";
+let min_hop_path g ~src ~dst =
+  if src = dst then invalid_arg "Bfs.min_hop_path: src = dst";
+  let dist = distances_to g ~dst in
   if dist.(src) = max_int then None
   else begin
     (* Walk greedily towards dst, always taking the smallest-indexed
@@ -55,10 +56,6 @@ let greedy_walk g ~dist ~src ~dst =
     done;
     Some (Path.with_link_ids_unchecked ~nodes ~link_ids)
   end
-
-let min_hop_path g ~src ~dst =
-  if src = dst then invalid_arg "Bfs.min_hop_path: src = dst";
-  greedy_walk g ~dist:(distances_to g ~dst) ~src ~dst
 
 let eccentricity g v =
   let dist = distances g ~src:v in

@@ -20,14 +20,6 @@ val min_hop_path : Graph.t -> src:int -> dst:int -> Path.t option
 (** The unique deterministic minimum-hop path, or [None] when [dst] is
     unreachable.  [src = dst] is rejected with [Invalid_argument]. *)
 
-val greedy_walk : Graph.t -> dist:int array -> src:int -> dst:int -> Path.t option
-(** The walk behind {!min_hop_path}, over a distance field computed
-    once: [dist] must be [distances_to g ~dst].  From [src] it steps to
-    the smallest-indexed successor one hop closer to [dst], so one
-    backward BFS serves every source of a destination.  [None] when
-    [dist.(src)] is [max_int]; [src = dst] is rejected with
-    [Invalid_argument]. *)
-
 val eccentricity : Graph.t -> int -> int
 (** Longest min-hop distance from a node to any reachable node. *)
 

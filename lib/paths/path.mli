@@ -35,7 +35,7 @@ val with_link_ids_unchecked : nodes:int array -> link_ids:int array -> t
     both invariants — [nodes] is a loop-free path and [link_ids.(i)] is
     the id of link [nodes.(i) -> nodes.(i+1)] in whatever graph the path
     will be used against.  Exists for code that already holds each
-    link — {!Bfs.greedy_walk} steps along out-links, and
+    link — {!Bfs.min_hop_path} steps along out-links, and
     {!Route_table} reads a stored path's link ids and their
     destinations off its rows; both arrays are adopted without copying
     (see the aliasing invariant above).

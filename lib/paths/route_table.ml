@@ -9,8 +9,7 @@ open Arnet_topology
    route.  A primary that is not a candidate (a min-hop walk longer than
    [h], or a custom policy's choice) is stored after the last candidate
    range, in ascending destination order, so tables holding the same
-   paths have the same layout.  Rows are never mutated once built:
-   [patch] shares the rows it does not touch. *)
+   paths have the same layout.  Rows are never mutated once built. *)
 type row = {
   links : int array;
   starts : int array;
@@ -19,10 +18,10 @@ type row = {
 }
 
 type kind = Minhop | Custom | Protected
-(* Minhop tables (the default build) are the only patchable kind: the
-   primary is a pure function of the pair's min-hop path set, so the
-   affected-pair analysis of [patch] is exact.  Custom-primary and
-   Suurballe-protected tables must be rebuilt from scratch. *)
+(* Minhop tables (the default build) are the only patchable kind:
+   [patch] builds the changed graph's table with the default primary.
+   Custom-primary and Suurballe-protected tables must be rebuilt the
+   way they were built. *)
 
 type t = {
   graph : Graph.t;
@@ -36,23 +35,16 @@ let link_dsts g = Array.map (fun (l : Link.t) -> l.Link.dst) (Graph.links g)
 let hops_of r j = r.starts.(j + 1) - r.starts.(j)
 let is_candidate r d j = r.first.(d) <= j && j < r.first.(d + 1)
 
-(* a row with no paths: the base of a row [pack] fills whole *)
-let empty_row n =
-  { links = [||]; starts = [| 0 |]; first = Array.make (n + 1) 0;
-    prim = Array.make n (-1) }
-
 (* the position of [p] in [candidates], or -1 *)
 let rec index_of p i = function
   | [] -> -1
   | q :: rest -> if q == p || Path.equal q p then i else index_of p (i + 1) rest
 
-(* The one packing step: the row whose pair [d] is [fresh.(d)] when that
-   is [Some (primary, candidates)], and is copied from [old] otherwise.
-   [build_reference] and [protected] give every pair fresh;
-   [patch] splices the pairs it recomputed into a row. *)
-let pack ~old fresh =
+(* The packing step of the per-pair builds ([build_reference] and
+   [protected]): the row whose pair [d] has primary and candidates
+   [fresh.(d)]. *)
+let pack fresh =
   let n = Array.length fresh in
-  let old_end = old.first.(n) in
   let first = Array.make (n + 1) 0 and prim = Array.make n (-1) in
   let paths = ref 0 and words = ref 0 in
   let add hops =
@@ -61,31 +53,19 @@ let pack ~old fresh =
   in
   for d = 0 to n - 1 do
     first.(d) <- !paths;
-    match fresh.(d) with
-    | Some (_, candidates) -> List.iter (fun p -> add (Path.hops p)) candidates
-    | None ->
-      let a = old.first.(d) and b = old.first.(d + 1) in
-      paths := !paths + (b - a);
-      words := !words + (old.starts.(b) - old.starts.(a))
+    List.iter (fun p -> add (Path.hops p)) (snd fresh.(d))
   done;
   first.(n) <- !paths;
   for d = 0 to n - 1 do
     match fresh.(d) with
-    | Some (Some p, candidates) ->
+    | Some p, candidates ->
       let i = index_of p 0 candidates in
       if i >= 0 then prim.(d) <- first.(d) + i
       else begin
         prim.(d) <- !paths;
         add (Path.hops p)
       end
-    | Some (None, _) -> ()
-    | None ->
-      let j = old.prim.(d) in
-      if j >= old_end then begin
-        prim.(d) <- !paths;
-        add (hops_of old j)
-      end
-      else if j >= 0 then prim.(d) <- first.(d) + (j - old.first.(d))
+    | None, _ -> ()
   done;
   let links = Array.make !words 0 and starts = Array.make (!paths + 1) 0 in
   let next = ref 0 in
@@ -94,25 +74,9 @@ let pack ~old fresh =
     starts.(!next + 1) <- starts.(!next) + Path.hops p;
     incr next
   in
-  (* old paths [a .. b - 1] lie end to end: one blit, starts shifted *)
-  let put_old a b =
-    let base = old.starts.(a) and at = starts.(!next) in
-    Array.blit old.links base links at (old.starts.(b) - base);
-    for j = a to b - 1 do
-      starts.(!next + 1) <- at + (old.starts.(j + 1) - base);
-      incr next
-    done
-  in
+  Array.iter (fun (_, candidates) -> List.iter put_path candidates) fresh;
   for d = 0 to n - 1 do
-    match fresh.(d) with
-    | Some (_, candidates) -> List.iter put_path candidates
-    | None -> put_old old.first.(d) old.first.(d + 1)
-  done;
-  for d = 0 to n - 1 do
-    if prim.(d) >= first.(n) then
-      match fresh.(d) with
-      | Some (Some p, _) -> put_path p
-      | _ -> put_old old.prim.(d) (old.prim.(d) + 1)
+    if prim.(d) >= first.(n) then Option.iter put_path (fst fresh.(d))
   done;
   { links; starts; first; prim }
 
@@ -136,7 +100,7 @@ let build_reference ?h ?primary g =
     | None -> fun ~src ~dst -> Bfs.min_hop_path g ~src ~dst
   in
   let pair src dst =
-    if src = dst then Some (None, [])
+    if src = dst then (None, [])
     else
       let primary = primary_of ~src ~dst in
       let candidates = Enumerate.simple_paths ~max_hops:h g ~src ~dst in
@@ -145,11 +109,9 @@ let build_reference ?h ?primary g =
         invalid_arg "Route_table.build: primary policy returned no path \
                      for a connected pair"
       | _ -> ());
-      Some (primary, candidates)
+      (primary, candidates)
   in
-  let old = empty_row n in
-  make ~h ~kind g
-    (Array.init n (fun src -> pack ~old (Array.init n (pair src))))
+  make ~h ~kind g (Array.init n (fun src -> pack (Array.init n (pair src))))
 
 (* ------------------------------------------------------------------ *)
 (* the memoized min-hop build *)
@@ -232,8 +194,9 @@ let rec write w links v depth =
     w.on_path.(v) <- false
   end
 
-(* [Bfs.greedy_walk] over the flat out-links: from [src], step to the
-   smallest-indexed successor one hop closer, writing each link id *)
+(* [Bfs.min_hop_path]'s walk over the flat out-links: from [src], step
+   to the smallest-indexed successor one hop closer, writing each link
+   id *)
 let walk adj ~dist links ~at src hops =
   let v = ref src in
   for i = 0 to hops - 1 do
@@ -247,7 +210,7 @@ let walk adj ~dist links ~at src hops =
 
 (* A pair's primary is its head candidate: with any candidate within
    the bound, every min-hop path is one, and the head is the
-   lexicographically smallest — where [Bfs.greedy_walk] would lead.  A
+   lexicographically smallest — where [Bfs.min_hop_path] would lead.  A
    pair with no candidate walks a backward BFS field ([dist_to dst]),
    and the walk is stored after the candidates. *)
 let minhop_row w ~dist_to src =
@@ -328,20 +291,19 @@ let build ?h ?primary g =
 let protected ?weight g =
   let n = Graph.node_count g in
   let pair src dst =
-    if src = dst then Some (None, [])
+    if src = dst then (None, [])
     else
       match Suurballe.disjoint_pair ?weight g ~src ~dst with
-      | Some (p, mate) -> Some (Some p, [ p; mate ])
+      | Some (p, mate) -> (Some p, [ p; mate ])
       | None -> (
         (* no two link-disjoint paths: protection is impossible, route
            on the min-hop primary alone *)
         match Bfs.min_hop_path g ~src ~dst with
-        | None -> Some (None, [])
-        | Some p -> Some (Some p, [ p ]))
+        | None -> (None, [])
+        | Some p -> (Some p, [ p ]))
   in
-  let old = empty_row n in
   make ~h:(n - 1) ~kind:Protected g
-    (Array.init n (fun src -> pack ~old (Array.init n (pair src))))
+    (Array.init n (fun src -> pack (Array.init n (pair src))))
 
 (* ------------------------------------------------------------------ *)
 (* accessors *)
@@ -476,59 +438,28 @@ let alternate_count_stats t ~min:mn ~max:mx =
   if !pairs = 0 then 0. else float_of_int !total /. float_of_int !pairs
 
 (* ------------------------------------------------------------------ *)
-(* incremental recompile: rebuild only the ordered pairs a topology
-   change can affect.
+(* patching: each change is checked and counted against the table it
+   changes, applied to the graph, and the changed graph's table built.
 
-   The affected-pair analysis is exact because the default primary is
-   canonical — the lexicographically-smallest min-hop path, a function
-   of the pair's path set alone:
+   The count is of the ordered pairs the change can affect.  The
+   default primary is canonical — the lexicographically-smallest
+   min-hop path, a function of the pair's path set alone — so:
 
-   - removing link k: a pair changes iff its primary or some candidate
-     traverses k.  Otherwise the pair's min-hop set still contains its
-     old primary (so the lexmin is unchanged) and its <= h candidate set
-     loses nothing.
+   - removing link k changes exactly the pairs whose primary or some
+     candidate traverses k.  Any other pair's min-hop set still holds
+     its old primary (so the lexmin is unchanged) and its <= h
+     candidate set loses nothing.
    - adding link u->v: any *new* path for (s, d) traverses u->v, so its
      hop count is at least dist(s, u) + 1 + dist(v, d).  A pair can
-     change only when that lower bound fits under max h (hops primary)
-     (or the pair was unroutable and both distances are now finite);
-     such pairs are recomputed — possibly needlessly, never wrongly.
-   - a capacity change affects no pair: routing here is hop-based. *)
+     change only when that lower bound fits under max h (hops primary),
+     or when it was unroutable and both distances are now finite.  The
+     count is of these pairs, a superset of those that change. *)
 
 type change =
   | Add_link of { src : int; dst : int; capacity : int }
   | Remove_link of { src : int; dst : int }
-  | Set_capacity of { src : int; dst : int; capacity : int }
 
 let labels_of g = Array.init (Graph.node_count g) (Graph.label g)
-
-(* recompute the pairs of [by_dst] (each destination's sources) on [g'],
-   sharing one backward BFS per destination, and splice them into their
-   rows *)
-let recompute g' ~h rows by_dst =
-  let n = Array.length rows in
-  let fresh = Array.make n [||] in
-  Array.iteri
-    (fun dst srcs ->
-      if srcs <> [] then begin
-        let dist = Bfs.distances_to g' ~dst in
-        List.iter
-          (fun src ->
-            let candidates = Enumerate.simple_paths ~max_hops:h g' ~src ~dst in
-            let primary =
-              match candidates with
-              | [] -> Bfs.greedy_walk g' ~dist ~src ~dst
-              | head :: _ -> Some head
-            in
-            if Array.length fresh.(src) = 0 then
-              fresh.(src) <- Array.make n None;
-            fresh.(src).(dst) <- Some (primary, candidates))
-          srcs
-      end)
-    by_dst;
-  Array.mapi
-    (fun src r ->
-      if Array.length fresh.(src) = 0 then r else pack ~old:r fresh.(src))
-    rows
 
 let check_pair_nodes ~n ~op src dst =
   if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -536,11 +467,12 @@ let check_pair_nodes ~n ~op src dst =
   if src = dst then
     invalid_arg (Printf.sprintf "Route_table.patch: %s: src = dst" op)
 
-(* whether link [k] occurs in [links.(a) .. links.(b - 1)] *)
-let rec mem_range links k a b =
+(* whether link [k] occurs in [links.(a) .. links.(b - 1)]; typed, so
+   that [=] compares ints rather than calling the polymorphic compare *)
+let rec mem_range (links : int array) k a b =
   a < b && (links.(a) = k || mem_range links k (a + 1) b)
 
-let apply_remove t ~src:u ~dst:v =
+let remove t ~src:u ~dst:v =
   let g = t.graph in
   let n = Graph.node_count g in
   check_pair_nodes ~n ~op:"remove" u v;
@@ -551,41 +483,23 @@ let apply_remove t ~src:u ~dst:v =
       invalid_arg
         (Printf.sprintf "Route_table.patch: remove: no link %d->%d" u v)
   in
-  let g' = Graph.without_links g [ (u, v) ] in
-  (* without_links renumbers link ids: translate survivors, -1 marks the
-     removed id (never read — pairs that used it are recomputed) *)
-  let id_map = Array.make (Graph.link_count g) (-1) in
-  Graph.iter_links
-    (fun (l : Link.t) ->
-      if l.Link.id <> doomed then
-        id_map.(l.Link.id) <-
-          (Graph.find_link_exn g' ~src:l.Link.src ~dst:l.Link.dst).Link.id)
-    g;
-  let by_dst = Array.make n [] and affected = ref 0 in
-  let rows =
-    Array.mapi
-      (fun src r ->
-        for dst = 0 to n - 1 do
-          (* a pair's candidates lie end to end; its primary may not *)
-          let j = r.prim.(dst) in
-          if
-            mem_range r.links doomed
-              r.starts.(r.first.(dst))
-              r.starts.(r.first.(dst + 1))
-            || (j >= 0 && mem_range r.links doomed r.starts.(j) r.starts.(j + 1))
-          then begin
-            incr affected;
-            by_dst.(dst) <- src :: by_dst.(dst)
-          end
-        done;
-        { r with links = Array.map (fun k -> id_map.(k)) r.links })
-      t.rows
-  in
-  ( { t with graph = g'; rows = recompute g' ~h:t.h rows by_dst;
-      link_dst = link_dsts g' },
-    !affected )
+  let affected = ref 0 in
+  Array.iter
+    (fun r ->
+      for dst = 0 to n - 1 do
+        (* a pair's candidates lie end to end; its primary may not *)
+        let j = r.prim.(dst) in
+        if
+          mem_range r.links doomed
+            r.starts.(r.first.(dst))
+            r.starts.(r.first.(dst + 1))
+          || (j >= 0 && mem_range r.links doomed r.starts.(j) r.starts.(j + 1))
+        then incr affected
+      done)
+    t.rows;
+  (Graph.without_links g [ (u, v) ], !affected)
 
-let apply_add t ~src:u ~dst:v ~capacity =
+let add t ~src:u ~dst:v ~capacity =
   let g = t.graph in
   let n = Graph.node_count g in
   check_pair_nodes ~n ~op:"add" u v;
@@ -597,34 +511,22 @@ let apply_add t ~src:u ~dst:v ~capacity =
     Array.to_list (Graph.links g)
     @ [ Link.make ~id:m ~src:u ~dst:v ~capacity ]
   in
-  (* appending keeps every existing link id stable, so untouched rows
-     carry over as they are *)
   let g' = Graph.create ~labels:(labels_of g) ~nodes:n links in
   let du = Bfs.distances_to g' ~dst:u in
   let dv = Bfs.distances g' ~src:v in
-  let by_dst = Array.make n [] and affected = ref 0 in
+  let affected = ref 0 in
   for src = 0 to n - 1 do
     let r = t.rows.(src) in
     for dst = 0 to n - 1 do
       if src <> dst && du.(src) <> max_int && dv.(dst) <> max_int then begin
         let j = r.prim.(dst) in
         (* an unroutable pair becomes routable: every new path uses u->v *)
-        if j < 0 || du.(src) + 1 + dv.(dst) <= max t.h (hops_of r j) then begin
-          incr affected;
-          by_dst.(dst) <- src :: by_dst.(dst)
-        end
+        if j < 0 || du.(src) + 1 + dv.(dst) <= max t.h (hops_of r j) then
+          incr affected
       end
     done
   done;
-  ( { t with graph = g'; rows = recompute g' ~h:t.h t.rows by_dst;
-      link_dst = link_dsts g' },
-    !affected )
-
-let apply_capacity t ~src ~dst ~capacity =
-  let n = Graph.node_count t.graph in
-  check_pair_nodes ~n ~op:"capacity" src dst;
-  let g' = Graph.with_capacities t.graph [ (src, dst, capacity) ] in
-  ({ t with graph = g' }, 0)
+  (g', !affected)
 
 let patch t changes =
   (match t.kind with
@@ -639,15 +541,12 @@ let patch t changes =
        with Route_table.protected");
   List.fold_left
     (fun (t, total) change ->
-      let t, changed =
+      let g, affected =
         match change with
-        | Add_link { src; dst; capacity } ->
-          apply_add t ~src ~dst ~capacity
-        | Remove_link { src; dst } -> apply_remove t ~src ~dst
-        | Set_capacity { src; dst; capacity } ->
-          apply_capacity t ~src ~dst ~capacity
+        | Add_link { src; dst; capacity } -> add t ~src ~dst ~capacity
+        | Remove_link { src; dst } -> remove t ~src ~dst
       in
-      (t, total + changed))
+      (build ~h:t.h g, total + affected))
     (t, 0) changes
 
 (* ------------------------------------------------------------------ *)

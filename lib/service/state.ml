@@ -362,10 +362,10 @@ let repair t ~link =
     Wire.Done
 
 (* ------------------------------------------------------------------ *)
-(* LINK ADD / LINK DEL: incremental topology patches.  The route table
-   is patched via {!Route_table.patch} -- only the ordered pairs whose
-   route sets touch the edited arc are recompiled -- and every per-link
-   array and in-flight call moves to the patched graph's link ids. *)
+(* LINK ADD / LINK DEL: topology patches.  {!Route_table.patch} builds
+   the changed graph's route table and counts the ordered pairs the
+   edited arc can affect (the PATCHED count); every per-link array and
+   in-flight call moves to the patched graph's link ids. *)
 
 (* scripted failure events address links by id; once the topology can
    shift ids under them the replay would silently corrupt, so patches

@@ -83,13 +83,13 @@ val repair : t -> link:int -> Wire.response
 (** Bring a failed link back into service (empty).  Idempotent. *)
 
 val link_add : t -> src:int -> dst:int -> capacity:int -> Wire.response
-(** Add a directed link [src -> dst] and incrementally patch the route
-    table ({!Arnet_paths.Route_table.patch} semantics: only the pairs
-    whose route sets change are recompiled).  The new link gets the
-    next free id; existing ids are untouched, and its fresh estimator
-    inherits the daemon's window/smoothing settings.  Returns [Patched]
-    with the recompiled-pair count, or [Err] for bad endpoints, a
-    duplicate link ([link-exists]), or when a failure script is loaded
+(** Add a directed link [src -> dst] and patch the route table
+    ({!Arnet_paths.Route_table.patch}: the table of the changed graph
+    is built).  The new link gets the next free id; existing ids are
+    untouched, and its fresh estimator inherits the daemon's
+    window/smoothing settings.  Returns [Patched] with the number of
+    ordered pairs the new link can affect, or [Err] for bad endpoints,
+    a duplicate link ([link-exists]), or when a failure script is loaded
     ([script-active] — scripts address links by id, and patches shift
     ids). *)
 
@@ -97,8 +97,9 @@ val link_del : t -> src:int -> dst:int -> Wire.response
 (** Remove the directed link [src -> dst].  Calls holding a circuit on
     it are dropped (counted in [stats.dropped]), link ids above it
     shift down with all per-link state (occupancy, reserves, failure
-    flags, estimators) remapped, and only the affected pairs are
-    recompiled.  Returns [Patched], or [Err no-such-link] /
+    flags, estimators) remapped, and the route table of the reduced
+    graph is built.  Returns [Patched] with the number of ordered pairs
+    whose routes held the link, or [Err no-such-link] /
     [script-active] as for {!link_add}. *)
 
 val reload : t -> Wire.response

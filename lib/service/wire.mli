@@ -15,8 +15,8 @@
     FAIL <link>                     fail a link by id (drops calls on it)
     REPAIR <link>                   bring a failed link back
     RELOAD                          recompute protection levels r^k now
-    LINK ADD <src> <dst> <cap>      add a link and patch the routes
-    LINK DEL <src> <dst>            remove a link and patch the routes
+    LINK ADD <src> <dst> <cap>      add a link and rebuild the routes
+    LINK DEL <src> <dst>            remove a link and rebuild the routes
     STATS                           one-line state summary
     DRAIN                           stop admitting; exit when empty
     QUIT                            close this connection
@@ -26,7 +26,7 @@
     BLOCKED                         call refused (no admissible path)
     OK                              generic success
     RELOADED <changed>              r^k recomputed; links that changed
-    PATCHED <recomputed>            routes patched; pairs recomputed
+    PATCHED <pairs>                 routes rebuilt; pairs it can affect
     STATS accepted=..blocked=..     the summary (see {!stats})
     ERR <code> <detail>             typed error, code is one token
     v} *)
@@ -40,13 +40,13 @@ type command =
   | Repair of { link : int }
   | Reload
   | Link_add of { src : int; dst : int; capacity : int }
-      (** Add one directed link and incrementally patch the route
-          table ({!Arnet_paths.Route_table.patch}); the new link gets
-          the next free id. *)
+      (** Add one directed link and patch the route table
+          ({!Arnet_paths.Route_table.patch}); the new link gets the
+          next free id. *)
   | Link_del of { src : int; dst : int }
       (** Remove the directed link [src -> dst]: active calls holding
-          it are dropped, link ids above it shift down, and only the
-          affected pairs are recompiled. *)
+          it are dropped, link ids above it shift down, and the route
+          table is patched ({!Arnet_paths.Route_table.patch}). *)
   | Stats
   | Drain
   | Quit
@@ -76,8 +76,8 @@ type response =
   | Done
   | Reloaded of { changed : int }
   | Patched of { recomputed : int }
-      (** Route table patched in place; [recomputed] counts the
-          src/dst pairs whose route sets were rebuilt. *)
+      (** Route table patched; [recomputed] counts the ordered pairs
+          the change can affect ({!Arnet_paths.Route_table.patch}). *)
   | Stats_reply of stats
   | Err of { code : string; detail : string }
       (** [code] is a single lowercase token ([bad-command],
