@@ -493,7 +493,8 @@ let simulate_cmd =
   let metrics_file =
     let doc =
       "Write a Prometheus text-format metrics snapshot (counters, \
-       occupancy gauges, holding-time and hop histograms) to $(docv)."
+       per-link capacity and protection-level gauges, holding-time and \
+       hop histograms) to $(docv)."
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
@@ -1201,10 +1202,10 @@ let serve_cmd =
   in
   let seed =
     let doc =
-      "Run seed, echoed in the banner and the event trace.  The daemon \
-       itself draws no randomness — decisions depend only on the command \
-       stream — so matching seeds between $(b,arn serve) and $(b,arn \
-       load) labels the pair of logs as one reproducible run."
+      "Run seed, echoed in the banner.  The daemon itself draws no \
+       randomness — decisions depend only on the command stream — so \
+       matching seeds between $(b,arn serve) and $(b,arn load) labels \
+       the pair of logs as one reproducible run."
     in
     Arg.(value & opt int 0 & info [ "seed" ] ~doc)
   in

@@ -5,7 +5,7 @@
 
    Run with: dune exec examples/multirate_qos.exe [-- quick] *)
 
-open Arnet_multirate
+open Arnet_erlang
 open Arnet_experiments
 
 let () =

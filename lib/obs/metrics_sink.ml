@@ -126,10 +126,6 @@ let network_gauge t table name help link =
     Hashtbl.add table link g;
     g
 
-let link_gauge t link =
-  network_gauge t t.occupancy "arnet_link_occupancy"
-    "Calls in progress on the link" link
-
 (* one value per link id the network has; a gauge in [table] of an id
    past the end (a link deleted since it was set) reads 0 *)
 let set_links table gauge values =
@@ -155,7 +151,11 @@ let set_failed_links t ~link_count failed =
        "1 while the link is failed, else 0")
     flags
 
-let set_occupancy t occupancy = set_links t.occupancy (link_gauge t) occupancy
+let set_occupancy t occupancy =
+  set_links t.occupancy
+    (network_gauge t t.occupancy "arnet_link_occupancy"
+       "Calls in progress on the link")
+    occupancy
 
 (* counters only move forward; syncing to an externally held total is
    the shared idiom for state the sink does not observe event-by-event *)
@@ -180,16 +180,15 @@ let emit t ev =
   | Event.Block { src; dst; _ } ->
     Metrics.inc t.blocked;
     Metrics.inc (pair_blocked t (src, dst))
-  | Event.Admit { src; dst; primary; hops; links; _ } ->
+  | Event.Admit { src; dst; primary; hops; _ } ->
     Metrics.inc (if primary then t.admitted_primary else t.admitted_alternate);
     Metrics.inc (pair_accepted t (src, dst));
-    Metrics.observe t.hops (float_of_int hops);
-    Array.iter (fun k -> Metrics.add (link_gauge t k) 1.) links
-  | Event.Departure { links; _ } ->
-    Array.iter (fun k -> Metrics.add (link_gauge t k) (-1.)) links
+    Metrics.observe t.hops (float_of_int hops)
   | Event.Alternate_rejected { link; _ } ->
     Metrics.inc (rejected_counter t link)
-  | Event.Run_start _ | Event.Run_end _ | Event.Primary_attempt _ -> ()
+  | Event.Departure _ | Event.Run_start _ | Event.Run_end _
+  | Event.Primary_attempt _ ->
+    ()
 
 let sink t =
   Sink.make (emit t)

@@ -555,7 +555,7 @@ let patch t changes =
    hold the same paths when their index arrays agree and their links
    agree destination by destination, each read in its own graph *)
 
-let rec ints_equal a b i =
+let rec ints_equal (a : int array) (b : int array) i =
   i >= Array.length a || (a.(i) = b.(i) && ints_equal a b (i + 1))
 
 let same_ints a b = Array.length a = Array.length b && ints_equal a b 0

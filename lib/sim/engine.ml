@@ -264,12 +264,12 @@ let replicate_grid ~caller ~seeds ~names ~context ~run () =
     seeds;
   List.mapi (fun pi name -> (name, List.rev acc.(pi))) names
 
-let replicate_fresh ?warmup ?mean_holding ?observe ?script ~seeds ~duration
-    ~graph ~matrix ~policies () =
+let replicate_fresh ?warmup ?observe ?script ~seeds ~duration ~graph ~matrix
+    ~policies () =
   let names = List.map (fun p -> p.name) (policies ()) in
   let context seed =
     let rng = Rng.substream (Rng.create ~seed) "trace" in
-    let trace = Trace.generate ?mean_holding ~rng ~duration matrix in
+    let trace = Trace.generate ~rng ~duration matrix in
     let script = Option.map (fun f -> f ~seed) script in
     let fresh = policies () in
     if List.map (fun p -> p.name) fresh <> names then
@@ -288,9 +288,7 @@ let replicate_fresh ?warmup ?mean_holding ?observe ?script ~seeds ~duration
   replicate_grid ~caller:"Engine.replicate" ~seeds ~names ~context
     ~run:run_one ()
 
-let replicate ?warmup ?mean_holding ?observe ~seeds ~duration ~graph ~matrix
-    ~policies () =
-  replicate_fresh ?warmup ?mean_holding ?observe ~seeds ~duration ~graph
-    ~matrix
+let replicate ?warmup ?observe ~seeds ~duration ~graph ~matrix ~policies () =
+  replicate_fresh ?warmup ?observe ~seeds ~duration ~graph ~matrix
     ~policies:(fun () -> policies)
     ()

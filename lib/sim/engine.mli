@@ -85,7 +85,6 @@ val calls_simulated : unit -> int
 
 val replicate :
   ?warmup:float ->
-  ?mean_holding:float ->
   ?observe:(seed:int -> policy:string -> (Arnet_obs.Event.t -> unit) option) ->
   seeds:int list ->
   duration:float ->
@@ -113,7 +112,6 @@ val replicate :
 
 val replicate_fresh :
   ?warmup:float ->
-  ?mean_holding:float ->
   ?observe:(seed:int -> policy:string -> (Arnet_obs.Event.t -> unit) option) ->
   ?script:(seed:int -> Script.t) ->
   seeds:int list ->

@@ -10,7 +10,7 @@
 
     Every call belongs to a class with its own bandwidth (in the units
     of link capacity).  A single-rate trace is one class of bandwidth 1;
-    a multi-rate trace (see [Arnet_multirate.Mr_trace]) has several. *)
+    a multi-rate trace (see {!generate_classes}) has several. *)
 
 open Arnet_traffic
 

@@ -1,8 +1,9 @@
 open Arnet_topology
 open Arnet_paths
 open Arnet_traffic
+open Arnet_erlang
 open Arnet_sim
-open Arnet_multirate
+open Arnet_core
 
 let check_invalid name f =
   Alcotest.check_raises name (Invalid_argument "") (fun () ->
@@ -10,19 +11,33 @@ let check_invalid name f =
 
 let feq_at tol = Alcotest.(check (float tol))
 
+(* narrowband (class 0, 1 unit) and wideband (class 1, 6 units) calls,
+   both of unit mean holding time *)
+let two_class ~rng ~duration narrow wide =
+  Trace.generate_classes ~rng ~duration ~bandwidths:[| 1; 6 |]
+    ~mean_holdings:[| 1.; 1. |] [| narrow; wide |]
+
+(* a hand-built trace of the same two classes *)
+let two_class_calls matrix ~duration calls =
+  Trace.of_class_calls ~matrix ~duration ~bandwidths:[| 1; 6 |] calls
+
 (* ------------------------------------------------------------------ *)
-(* Call_class *)
+(* call classes: a bandwidth and a mean holding time per class *)
 
 let test_call_class () =
-  let c = Call_class.make ~name:"video" ~mean_holding:2. ~bandwidth:4 () in
-  Alcotest.(check string) "name" "video" c.Call_class.name;
-  Alcotest.(check int) "bandwidth" 4 c.Call_class.bandwidth;
-  Alcotest.(check int) "narrowband" 1 Call_class.narrowband.Call_class.bandwidth;
-  Alcotest.(check int) "wideband" 6 Call_class.wideband.Call_class.bandwidth;
+  let m = Matrix.uniform ~nodes:3 ~demand:1. in
+  let generate ~bandwidth ~mean_holding =
+    Trace.generate_classes ~rng:(Rng.create ~seed:1) ~duration:10.
+      ~bandwidths:[| 1; bandwidth |] ~mean_holdings:[| 1.; mean_holding |]
+      [| m; m |]
+  in
+  let video = generate ~bandwidth:4 ~mean_holding:2. in
+  Alcotest.(check (array int)) "class bandwidths" [| 1; 4 |]
+    video.Trace.bandwidths;
   check_invalid "bad bandwidth" (fun () ->
-      ignore (Call_class.make ~bandwidth:0 ()));
+      ignore (generate ~bandwidth:0 ~mean_holding:1.));
   check_invalid "bad holding" (fun () ->
-      ignore (Call_class.make ~mean_holding:0. ~bandwidth:1 ()))
+      ignore (generate ~bandwidth:1 ~mean_holding:0.))
 
 (* ------------------------------------------------------------------ *)
 (* Kaufman_roberts *)
@@ -96,20 +111,16 @@ let test_kr_validation () =
            [ { Kaufman_roberts.offered = 0.; bandwidth = 1 } ]))
 
 (* ------------------------------------------------------------------ *)
-(* Mr_trace *)
+(* multi-rate traces *)
 
 let test_workload_and_trace () =
   let narrow = Matrix.uniform ~nodes:3 ~demand:5. in
   let wide = Matrix.uniform ~nodes:3 ~demand:1. in
-  let w =
-    Mr_trace.workload
-      [ (Call_class.narrowband, narrow); (Call_class.wideband, wide) ]
-  in
-  Alcotest.(check int) "nodes" 3 (Mr_trace.nodes w);
   feq_at 1e-9 "offered bandwidth" ((5. *. 6.) +. (6. *. 6.))
-    (Mr_trace.offered_bandwidth w);
+    (Matrix.total (Matrix.add narrow (Matrix.scale wide 6.)));
   let rng = Rng.create ~seed:2 in
-  let trace = Mr_trace.generate ~rng ~duration:20. w in
+  let trace = two_class ~rng ~duration:20. narrow wide in
+  Alcotest.(check int) "nodes" 3 (Matrix.nodes trace.Trace.matrix);
   let { Trace.times; holdings; ends; classes; bandwidths; _ } = trace in
   Alcotest.(check bool) "calls generated" true (Trace.call_count trace > 400);
   Alcotest.(check bool) "sorted" true (Trace.check_sorted trace);
@@ -123,28 +134,27 @@ let test_workload_and_trace () =
   Alcotest.(check bool) "class mix plausible" true (ratio > 3.5 && ratio < 7.);
   Alcotest.(check (float 1e-9)) "matrix sums the classes" 36.
     (Matrix.total trace.Trace.matrix);
-  check_invalid "empty workload" (fun () -> ignore (Mr_trace.workload []));
+  check_invalid "empty workload" (fun () ->
+      ignore
+        (Trace.generate_classes ~rng ~duration:20. ~bandwidths:[||]
+           ~mean_holdings:[||] [||]));
   check_invalid "size mismatch" (fun () ->
       ignore
-        (Mr_trace.workload
-           [ (Call_class.narrowband, narrow);
-             (Call_class.wideband, Matrix.uniform ~nodes:4 ~demand:1.) ]))
+        (two_class ~rng ~duration:20. narrow
+           (Matrix.uniform ~nodes:4 ~demand:1.)))
 
 (* multi-rate traces go through the single-rate trace's validation *)
 let test_trace_validation () =
   let m = Matrix.uniform ~nodes:3 ~demand:1. in
-  let w =
-    Mr_trace.workload [ (Call_class.narrowband, m); (Call_class.wideband, m) ]
-  in
   let rng = Rng.create ~seed:1 in
   (* nan first: at infinity an unchecked generator never returns *)
   List.iter
     (fun duration ->
       check_invalid (Printf.sprintf "generate duration %g" duration) (fun () ->
-          ignore (Mr_trace.generate ~rng ~duration w)))
+          ignore (two_class ~rng ~duration m m)))
     [ Float.nan; infinity; 0. ];
   let call ?(holding = 1.) src dst = { Trace.time = 1.; src; dst; holding; u = 0. } in
-  let of_calls calls = ignore (Mr_trace.of_calls w ~duration:10. calls) in
+  let of_calls calls = ignore (two_class_calls m ~duration:10. calls) in
   of_calls [ (1, call 0 1) ];
   check_invalid "class index out of range" (fun () -> of_calls [ (2, call 0 1) ]);
   check_invalid "negative class index" (fun () -> of_calls [ (-1, call 0 1) ]);
@@ -152,22 +162,23 @@ let test_trace_validation () =
   check_invalid "negative holding" (fun () ->
       of_calls [ (0, call ~holding:(-1.) 0 1) ]);
   check_invalid "call outside the duration" (fun () ->
-      ignore
-        (Mr_trace.of_calls w ~duration:0.5 [ (0, call 0 1) ]))
+      ignore (two_class_calls m ~duration:0.5 [ (0, call 0 1) ]))
 
 (* ------------------------------------------------------------------ *)
-(* multi-rate replay: Engine.run over class columns, Mr_scheme *)
+(* multi-rate replay: Engine.run over class columns, the paper's schemes *)
 
-(* one trace per seed from the multi-rate substream, replayed through
-   every policy *)
-let mr_replicate ~warmup ~seeds ~duration ~graph w policies =
-  let policy = Array.of_list policies in
-  Engine.replicate_grid ~caller:"test" ~seeds
-    ~names:(List.map (fun p -> p.Engine.name) policies)
+(* one trace per seed from the multi-rate substream (class [c] offers
+   [demands.(c)] at [bandwidths.(c)] units, unit mean holding time),
+   replayed through every named policy *)
+let mr_replicate ~warmup ~seeds ~duration ~graph ~bandwidths demands named =
+  let policy = Array.of_list (List.map snd named) in
+  Engine.replicate_grid ~caller:"test" ~seeds ~names:(List.map fst named)
     ~context:(fun seed ->
-      Mr_trace.generate
+      Trace.generate_classes
         ~rng:(Rng.substream (Rng.create ~seed) "mr-trace")
-        ~duration w)
+        ~duration ~bandwidths
+        ~mean_holdings:(Array.map (fun _ -> 1.) bandwidths)
+        demands)
     ~run:(fun trace pi -> Engine.run ~warmup ~graph ~policy:policy.(pi) trace)
     ()
 
@@ -178,15 +189,11 @@ let one_link_setup capacity =
   let g = Graph.create ~nodes:2 [ Link.make ~id:0 ~src:0 ~dst:1 ~capacity ] in
   let routes = Route_table.build g in
   let demand = Matrix.make ~nodes:2 (fun i _ -> if i = 0 then 1. else 0.) in
-  let w =
-    Mr_trace.workload
-      [ (Call_class.narrowband, demand); (Call_class.wideband, demand) ]
-  in
-  (g, routes, w)
+  (g, routes, demand)
 
 let test_mr_engine_bandwidth_accounting () =
-  let g, routes, w = one_link_setup 10 in
-  let policy = Mr_scheme.single_path routes in
+  let g, routes, demand = one_link_setup 10 in
+  let policy = Scheme.single_path routes in
   (* a wideband call (6 units) then another wideband (blocked: 12 > 10)
      then a narrowband (fits: 7 <= 10) *)
   let calls =
@@ -194,7 +201,7 @@ let test_mr_engine_bandwidth_accounting () =
   in
   let s =
     Engine.run ~warmup:0. ~graph:g ~policy
-      (Mr_trace.of_calls w ~duration:20. calls)
+      (two_class_calls demand ~duration:20. calls)
   in
   Alcotest.(check int) "wideband offered" 2 s.Stats.class_offered.(1);
   Alcotest.(check int) "wideband blocked" 1 s.Stats.class_blocked.(1);
@@ -203,12 +210,12 @@ let test_mr_engine_bandwidth_accounting () =
   feq_at 1e-12 "call blocking" (1. /. 3.) (Stats.blocking s)
 
 let test_mr_engine_departure () =
-  let g, routes, w = one_link_setup 6 in
-  let policy = Mr_scheme.single_path routes in
+  let g, routes, demand = one_link_setup 6 in
+  let policy = Scheme.single_path routes in
   let calls = [ mk_call 1. 0 1 2. 1; mk_call 4. 0 1 2. 1 ] in
   let s =
     Engine.run ~warmup:0. ~graph:g ~policy
-      (Mr_trace.of_calls w ~duration:20. calls)
+      (two_class_calls demand ~duration:20. calls)
   in
   Alcotest.(check int) "capacity recycled" 0 s.Stats.class_blocked.(1)
 
@@ -219,16 +226,12 @@ let test_mr_controlled_protects () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:6 in
   let routes = Route_table.build g in
   let demand = Matrix.uniform ~nodes:3 ~demand:1. in
-  let w =
-    Mr_trace.workload
-      [ (Call_class.narrowband, demand); (Call_class.wideband, demand) ]
-  in
   let reserves = Array.make (Graph.link_count g) 3 in
-  let controlled = Mr_scheme.controlled ~reserves routes in
-  let uncontrolled = Mr_scheme.uncontrolled routes in
+  let controlled = Scheme.controlled ~reserves routes in
+  let uncontrolled = Scheme.uncontrolled routes in
   (* saturate direct 0->1 with a wideband call, then try another *)
   let calls =
-    Mr_trace.of_calls w ~duration:20.
+    two_class_calls demand ~duration:20.
       [ mk_call 1. 0 1 10. 1; mk_call 2. 0 1 10. 1 ]
   in
   let s_ctl = Engine.run ~warmup:0. ~graph:g ~policy:controlled calls in
@@ -244,9 +247,9 @@ let test_mr_controlled_protects () =
    wideband call (6 units) arriving while a narrowband call holds 1 unit
    is blocked, never routed over the full link *)
 let test_mr_two_tier_reads_bandwidth () =
-  let g, routes, w = one_link_setup 6 in
+  let g, routes, demand = one_link_setup 6 in
   let trace =
-    Mr_trace.of_calls w ~duration:20.
+    two_class_calls demand ~duration:20.
       [ mk_call 1. 0 1 10. 0; mk_call 2. 0 1 10. 1 ]
   in
   let reserves = [| 0 |] in
@@ -277,11 +280,11 @@ let test_mr_equal_length_alternate () =
   let g = Builders.ring ~nodes:4 ~capacity:6 in
   let routes = Route_table.build g in
   let demand = Matrix.uniform ~nodes:4 ~demand:1. in
-  let w = Mr_trace.workload [ (Call_class.wideband, demand) ] in
   let trace =
-    Mr_trace.of_calls w ~duration:10. [ mk_call 1. 0 2 5. 0; mk_call 2. 0 2 5. 0 ]
+    Trace.of_class_calls ~matrix:demand ~duration:10. ~bandwidths:[| 6 |]
+      [ mk_call 1. 0 2 5. 0; mk_call 2. 0 2 5. 0 ]
   in
-  let s = Engine.run ~warmup:0. ~graph:g ~policy:(Mr_scheme.uncontrolled routes) trace in
+  let s = Engine.run ~warmup:0. ~graph:g ~policy:(Scheme.uncontrolled routes) trace in
   Alcotest.(check int) "both carried" 0 s.Stats.blocked;
   Alcotest.(check int) "first on the primary" 1 s.Stats.carried_primary;
   Alcotest.(check int) "second on the equal-length alternate" 1
@@ -291,29 +294,29 @@ let test_mr_protection_levels () =
   let g = Builders.full_mesh ~nodes:4 ~capacity:100 in
   let routes = Route_table.build g in
   let demand = Matrix.uniform ~nodes:4 ~demand:40. in
-  let w =
-    Mr_trace.workload
-      [ (Call_class.narrowband, demand);
-        (Call_class.wideband, Matrix.scale demand (1. /. 12.)) ]
+  (* the offered bandwidth: each class's demand times its bandwidth *)
+  let matrix =
+    Matrix.add demand (Matrix.scale (Matrix.scale demand (1. /. 12.)) 6.)
   in
-  let loads = Mr_scheme.bandwidth_loads routes w in
+  let loads = Loads.primary_link_loads routes matrix in
   (* direct link: 40 narrowband + 40/12 wideband * 6 = 60 units *)
   feq_at 1e-9 "bandwidth load" 60. loads.(0);
-  let levels = Mr_scheme.protection_levels routes w ~h:3 in
+  let levels = Protection.levels routes matrix ~h:3 in
   Alcotest.(check int) "matches single-rate formula on bandwidth load"
-    (Arnet_core.Protection.level ~offered:60. ~capacity:100 ~h:3)
+    (Protection.level ~offered:60. ~capacity:100 ~h:3)
     levels.(0);
   check_invalid "reserves length" (fun () ->
-      ignore (Mr_scheme.controlled ~reserves:[| 1 |] routes))
+      ignore (Scheme.controlled ~reserves:[| 1 |] routes))
 
 let test_mr_replicate_shares_traces () =
   let g = Builders.full_mesh ~nodes:3 ~capacity:20 in
   let routes = Route_table.build g in
   let demand = Matrix.uniform ~nodes:3 ~demand:8. in
-  let w = Mr_trace.workload [ (Call_class.narrowband, demand) ] in
   let results =
-    mr_replicate ~warmup:5. ~seeds:[ 1; 2 ] ~duration:40. ~graph:g w
-      [ Mr_scheme.single_path routes; Mr_scheme.uncontrolled routes ]
+    mr_replicate ~warmup:5. ~seeds:[ 1; 2 ] ~duration:40. ~graph:g
+      ~bandwidths:[| 1 |] [| demand |]
+      [ ("mr-single-path", Scheme.single_path routes);
+        ("mr-uncontrolled", Scheme.uncontrolled routes) ]
   in
   match results with
   | [ (_, [ a1; a2 ]); (_, [ b1; b2 ]) ] ->
@@ -327,17 +330,13 @@ let test_mr_replicate_golden () =
   let g = Builders.full_mesh ~nodes:4 ~capacity:12 in
   let routes = Route_table.build g in
   let demand = Matrix.uniform ~nodes:4 ~demand:5. in
-  let w =
-    Mr_trace.workload
-      [ (Call_class.narrowband, demand);
-        (Call_class.wideband, Matrix.scale demand 0.2) ]
-  in
   let reserves = Array.make (Graph.link_count g) 2 in
   let results =
-    mr_replicate ~warmup:5. ~seeds:[ 3; 1; 4 ] ~duration:40. ~graph:g w
-      [ Mr_scheme.single_path routes;
-        Mr_scheme.uncontrolled routes;
-        Mr_scheme.controlled ~reserves routes ]
+    mr_replicate ~warmup:5. ~seeds:[ 3; 1; 4 ] ~duration:40. ~graph:g
+      ~bandwidths:[| 1; 6 |] [| demand; Matrix.scale demand 0.2 |]
+      [ ("mr-single-path", Scheme.single_path routes);
+        ("mr-uncontrolled", Scheme.uncontrolled routes);
+        ("mr-controlled", Scheme.controlled ~reserves routes) ]
   in
   Alcotest.(check bool) "the runs block something" true
     (List.exists
@@ -372,28 +371,29 @@ let test_mr_replicate_golden () =
 
 let test_mr_degenerates_to_single_rate_engine () =
   (* one class of bandwidth 1 is the single-rate workload: the same
-     draws from the same stream give the same trace, and the mr-*
-     policies make exactly the decisions of the paper's schemes *)
+     draws from the same stream give the same trace, and the paper's
+     schemes make exactly the same decisions on both *)
   let g = Builders.full_mesh ~nodes:4 ~capacity:10 in
   let routes = Route_table.build g in
   let matrix = Matrix.uniform ~nodes:4 ~demand:9. in
-  let w = Mr_trace.workload [ (Call_class.narrowband, matrix) ] in
   let rng () = Rng.substream (Rng.create ~seed:21) "trace" in
   let trace = Trace.generate ~rng:(rng ()) ~duration:50. matrix in
-  let mr_trace = Mr_trace.generate ~rng:(rng ()) ~duration:50. w in
+  let mr_trace =
+    Trace.generate_classes ~rng:(rng ()) ~duration:50. ~bandwidths:[| 1 |]
+      ~mean_holdings:[| 1. |] [| matrix |]
+  in
   Alcotest.(check bool) "same trace" true (trace = mr_trace);
   let reserves = Array.make (Graph.link_count g) 2 in
   List.iter
-    (fun (sr_policy, mr_policy) ->
-      let sr = Engine.run ~warmup:10. ~graph:g ~policy:sr_policy trace in
-      let mr = Engine.run ~warmup:10. ~graph:g ~policy:mr_policy mr_trace in
+    (fun (policy : Engine.policy) ->
+      let sr = Engine.run ~warmup:10. ~graph:g ~policy trace in
+      let mr = Engine.run ~warmup:10. ~graph:g ~policy mr_trace in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: same statistics" sr_policy.Engine.name)
+        (Printf.sprintf "%s: same statistics" policy.Engine.name)
         true (sr = mr))
-    [ (Arnet_core.Scheme.single_path routes, Mr_scheme.single_path routes);
-      (Arnet_core.Scheme.uncontrolled routes, Mr_scheme.uncontrolled routes);
-      ( Arnet_core.Scheme.controlled ~reserves routes,
-        Mr_scheme.controlled ~reserves routes ) ]
+    [ Scheme.single_path routes;
+      Scheme.uncontrolled routes;
+      Scheme.controlled ~reserves routes ]
 
 (* frozen two-class golden: the quadrangle at two loads, seeds 1-2, per
    policy and seed the per-class offered and blocked counts and the
@@ -403,16 +403,14 @@ let mr_golden_runs () =
   let routes = Route_table.build g in
   List.concat_map
     (fun load ->
-      let w =
-        Mr_trace.workload
-          [ (Call_class.narrowband, Matrix.uniform ~nodes:4 ~demand:load);
-            ( Call_class.wideband,
-              Matrix.uniform ~nodes:4 ~demand:(load /. 12.) ) ]
-      in
-      mr_replicate ~warmup:10. ~seeds:[ 1; 2 ] ~duration:40. ~graph:g w
-        [ Mr_scheme.single_path routes;
-          Mr_scheme.uncontrolled routes;
-          Mr_scheme.controlled_auto routes w ]
+      let narrow = Matrix.uniform ~nodes:4 ~demand:load in
+      let wide = Matrix.uniform ~nodes:4 ~demand:(load /. 12.) in
+      let matrix = Matrix.add narrow (Matrix.scale wide 6.) in
+      mr_replicate ~warmup:10. ~seeds:[ 1; 2 ] ~duration:40. ~graph:g
+        ~bandwidths:[| 1; 6 |] [| narrow; wide |]
+        [ ("mr-single-path", Scheme.single_path routes);
+          ("mr-uncontrolled", Scheme.uncontrolled routes);
+          ("mr-controlled", Scheme.controlled_auto ~matrix routes) ]
       |> List.concat_map (fun (name, runs) ->
              List.mapi
                (fun i (s : Stats.t) ->

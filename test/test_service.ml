@@ -1806,6 +1806,83 @@ let expect_eof what ic =
   Alcotest.check_raises what End_of_file (fun () ->
       ignore (input_char ic : char))
 
+(* a pipelining client: 300 SETUP lines (every third CRLF-terminated),
+   HELLO binary and one frame in a single write, more than one read
+   of the daemon's; every line is answered in order, as a fresh State
+   decides the same commands, and the bytes behind HELLO binary reach
+   the frame decoder *)
+let test_socket_one_write_pipeline () =
+  let g = quadrangle () in
+  let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
+  let st = State.create ~matrix g in
+  let addr = Server.Unix_sock (socket_path ()) in
+  let server = Thread.create (fun () -> Server.serve ~state:st addr) () in
+  Fun.protect
+    ~finally:(fun () -> drain_and_join addr server)
+    (fun () ->
+      let setups =
+        List.init 300 (fun i ->
+            let src = i mod 4 in
+            Wire.Setup
+              { src;
+                dst = (src + 1 + (i / 4 mod 3)) mod 4;
+                time = Some (float_of_int i *. 0.01) })
+      in
+      let frame = [ Wire.Setup { src = 0; dst = 3; time = None }; Wire.Stats ] in
+      let payload =
+        String.concat ""
+          (List.mapi
+             (fun i cmd ->
+               Wire.print_command cmd ^ if i mod 3 = 0 then "\r\n" else "\n")
+             setups)
+        ^ Wire.print_command (Wire.Hello { mode = "binary" })
+        ^ "\n"
+        ^ Bwire.encode_commands frame
+      in
+      Alcotest.(check bool) "longer than one 4096-byte read" true
+        (String.length payload > 4096);
+      let ic, oc = Server.connect ~retry_for:5. addr in
+      Alcotest.(check int) "one write" (String.length payload)
+        (Unix.write_substring (Unix.descr_of_out_channel oc) payload 0
+           (String.length payload));
+      let replay = State.create ~matrix g in
+      let expected = List.map (Session.handle replay) setups in
+      Alcotest.(check bool) "some lines blocked" true
+        (List.mem Wire.Blocked expected);
+      List.iteri
+        (fun i expected ->
+          let line = input_line ic in
+          match Wire.parse_response line with
+          | Ok r when Wire.equal_response r expected -> ()
+          | _ ->
+            Alcotest.failf "line %d: got %S, expected %S" i line
+              (Wire.print_response expected))
+        expected;
+      Alcotest.(check string) "HELLO binary answered on its line" "OK"
+        (input_line ic);
+      let expected_frame = List.map (Session.handle replay) frame in
+      (match read_frame ic with
+      | Bwire.Replies rs when List.equal Wire.equal_response rs expected_frame
+        ->
+        ()
+      | Bwire.Replies rs ->
+        Alcotest.failf "frame replies: %s"
+          (String.concat "; " (List.map Wire.print_response rs))
+      | Bwire.Commands _ -> Alcotest.fail "commands frame from the server");
+      (* tear every call down, so that the daemon can drain *)
+      let ids =
+        List.filter_map
+          (function Wire.Admitted { id; _ } -> Some id | _ -> None)
+          (expected @ expected_frame)
+      in
+      output_string oc
+        (Bwire.encode_commands (List.map (fun id -> Wire.Teardown { id }) ids));
+      flush oc;
+      (match read_frame ic with
+      | Bwire.Replies rs when List.for_all (( = ) Wire.Done) rs -> ()
+      | _ -> Alcotest.fail "teardown frame");
+      close_out_noerr oc)
+
 let test_binary_upgrade () =
   let g = quadrangle () in
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
@@ -2061,6 +2138,8 @@ let () =
             test_socket_failure_storm;
           Alcotest.test_case "oversized lines are rejected" `Quick
             test_socket_line_cap;
+          Alcotest.test_case "one write of lines, HELLO binary and a frame"
+            `Quick test_socket_one_write_pipeline;
           Alcotest.test_case "connections past the cap are refused" `Slow
             test_socket_connection_cap;
           Alcotest.test_case "accept survives descriptor exhaustion" `Slow
