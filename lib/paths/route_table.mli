@@ -97,12 +97,13 @@ val protected : ?weight:(Link.t -> float) -> Graph.t -> t
 
 type change =
   | Add_link of { src : int; dst : int; capacity : int }
-      (** a new directed link; its id is [link_count] of the patched
-          graph's predecessor (appending keeps existing ids stable) *)
+      (** a directed link: a pair whose link has capacity 0 gets that
+          link back, under its id, with the new capacity; any other
+          pair gets a new link of id [link_count] *)
   | Remove_link of { src : int; dst : int }
-      (** drops the directed link; surviving link ids are renumbered
-          exactly as {!Arnet_topology.Graph.without_links} renumbers
-          them *)
+      (** sets the directed link's capacity to 0.  The link keeps its
+          id and its endpoints, but no path crosses it
+          ({!Arnet_topology.Graph.create}), so no link id moves *)
 
 val patch : t -> change list -> t * int
 (** [patch t changes] applies the changes left to right and returns the
@@ -117,16 +118,17 @@ val patch : t -> change list -> t * int
     and the primary's hops: a superset of the pairs it changes.  Each
     change builds once, so a list of [k] changes costs [k] builds.
     @raise Invalid_argument when the table was built with a custom
-    primary or {!protected}, when a named link is absent (remove) or
-    already present (add), or on bad node indices. *)
+    primary or {!protected}, when a named pair has no link of positive
+    capacity (remove) or has one already (add), or on bad node
+    indices. *)
 
 val equal : t -> t -> bool
 (** Pair-wise equality by node sequences ({!Path.equal}): same [h],
     same primaries, candidates and alternate orders for every pair.
-    Link-id numbering is deliberately ignored — a link removed and
-    added back gets a new id, and the ids above its old one shift down
-    — so the rows' links are compared by their destination nodes, each
-    in its own table's graph.  Allocates nothing. *)
+    Link-id numbering is deliberately ignored — two graphs may number
+    the same links differently ({!Arnet_topology.Graph.without_links}
+    renumbers) — so the rows' links are compared by their destination
+    nodes, each in its own table's graph.  Allocates nothing. *)
 
 val graph : t -> Graph.t
 val h : t -> int

@@ -207,8 +207,8 @@ let to_prometheus t st =
       (fun l -> l.Arnet_topology.Link.capacity)
       (Arnet_topology.Graph.links (State.graph st))
   in
-  (* per link id the graph has now: a LINK ADD/DEL renumbers links, and
-     an id it dropped reads 0 *)
+  (* per link id: a removed link keeps its id at capacity 0, so its
+     gauges read 0 *)
   Arnet_obs.Metrics_sink.set_network t.net ~capacities
     ~reserves:(State.reserves st);
   Arnet_obs.Metrics_sink.set_failed_links t.net

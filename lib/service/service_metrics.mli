@@ -79,8 +79,9 @@ val to_prometheus : t -> State.t -> string
     ([Gc.quick_stat]) and live-heap words, and mirrors the daemon state
     from one {!State.stats}: reloads, failovers, active calls, total
     occupancy, failed links, and the per-link capacity, reserve,
-    failed and occupancy gauges (a link id the graph no longer has
-    reads 0).  It also refreshes the wall-clock rate gauges.  Since
+    failed and occupancy gauges (all 0 for a removed link, which
+    keeps its id at capacity 0).  It also refreshes the wall-clock
+    rate gauges.  Since
     State changes only inside commands, every render reads what the
     last command left. *)
 

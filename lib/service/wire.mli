@@ -41,12 +41,14 @@ type command =
   | Reload
   | Link_add of { src : int; dst : int; capacity : int }
       (** Add one directed link and patch the route table
-          ({!Arnet_paths.Route_table.patch}); the new link gets the
-          next free id. *)
+          ({!Arnet_paths.Route_table.patch}); a removed link of the
+          pair comes back under its id, any other gets the next free
+          id. *)
   | Link_del of { src : int; dst : int }
       (** Remove the directed link [src -> dst]: active calls holding
-          it are dropped, link ids above it shift down, and the route
-          table is patched ({!Arnet_paths.Route_table.patch}). *)
+          it are dropped, the link stays at its id with capacity 0, and
+          the route table is patched
+          ({!Arnet_paths.Route_table.patch}).  No link id moves. *)
   | Stats
   | Drain
   | Quit
@@ -82,8 +84,7 @@ type response =
   | Err of { code : string; detail : string }
       (** [code] is a single lowercase token ([bad-command],
           [bad-argument], [unknown-call], [no-such-link], [link-exists],
-          [script-active], [draining]); [detail] is free text without
-          newlines. *)
+          [draining]); [detail] is free text without newlines. *)
 
 val print_command : command -> string
 (** Without the trailing newline.

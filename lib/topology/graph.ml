@@ -39,11 +39,14 @@ let create ?labels ~nodes link_list =
     Hashtbl.add by_pair (l.Link.src, l.Link.dst) l
   in
   List.iter place link_list;
+  (* a link of capacity 0 carries nothing, so no walk may cross it *)
   let out_adj = Array.make nodes [] and in_adj = Array.make nodes [] in
   Array.iter
     (fun (l : Link.t) ->
-      out_adj.(l.Link.src) <- l :: out_adj.(l.Link.src);
-      in_adj.(l.Link.dst) <- l :: in_adj.(l.Link.dst))
+      if l.Link.capacity > 0 then begin
+        out_adj.(l.Link.src) <- l :: out_adj.(l.Link.src);
+        in_adj.(l.Link.dst) <- l :: in_adj.(l.Link.dst)
+      end)
     links;
   let by_dst (a : Link.t) (b : Link.t) = compare a.Link.dst b.Link.dst in
   let by_src (a : Link.t) (b : Link.t) = compare a.Link.src b.Link.src in
