@@ -125,8 +125,11 @@ let[@inline] exponential rng rate = -.log (1. -. uniform rng) /. rate
 let generate_classes ~rng ~duration ~bandwidths ~mean_holdings demands =
   check_duration "Trace.generate" duration;
   let nc = Array.length demands in
-  if nc = 0 || Array.length bandwidths <> nc || Array.length mean_holdings <> nc
-  then invalid_arg "Trace.generate: class arrays differ in length";
+  if nc = 0 then invalid_arg "Trace.generate: no call classes";
+  if Array.length bandwidths <> nc || Array.length mean_holdings <> nc then
+    invalid_arg "Trace.generate: class arrays differ in length";
+  if Array.exists (fun m -> Matrix.nodes m <> Matrix.nodes demands.(0)) demands
+  then invalid_arg "Trace.generate: class matrices differ in size";
   Array.iter
     (fun b -> if b < 1 then invalid_arg "Trace.generate: bandwidth < 1")
     bandwidths;

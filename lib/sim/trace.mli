@@ -72,10 +72,11 @@ val generate_classes :
     (class, pair) streams are superposed into one Poisson process, so a
     single class draws exactly what {!generate} draws.  The trace's
     [matrix] is the sum over classes.
-    @raise Invalid_argument on empty or unequal class arrays, a
-    bandwidth below 1, no positive demand, a total demand that is not
-    finite, or a [duration], mean holding time or holding rate
-    ([1 /. mean_holding]) that is not positive and finite. *)
+    @raise Invalid_argument before any draw on empty or unequal class
+    arrays, matrices of different sizes, a bandwidth below 1, no
+    positive demand, a total demand that is not finite, or a
+    [duration], mean holding time or holding rate ([1 /. mean_holding])
+    that is not positive and finite. *)
 
 val of_calls : matrix:Matrix.t -> duration:float -> call list -> t
 (** Build a single-class trace from explicit calls — deterministic

@@ -134,14 +134,21 @@ let test_workload_and_trace () =
   Alcotest.(check bool) "class mix plausible" true (ratio > 3.5 && ratio < 7.);
   Alcotest.(check (float 1e-9)) "matrix sums the classes" 36.
     (Matrix.total trace.Trace.matrix);
-  check_invalid "empty workload" (fun () ->
-      ignore
-        (Trace.generate_classes ~rng ~duration:20. ~bandwidths:[||]
-           ~mean_holdings:[||] [||]));
-  check_invalid "size mismatch" (fun () ->
-      ignore
-        (two_class ~rng ~duration:20. narrow
-           (Matrix.uniform ~nodes:4 ~demand:1.)))
+  (* a bad class list is refused before the first draw *)
+  let refused name msg generate =
+    let rng = Rng.create ~seed:5 in
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (generate rng : Trace.t));
+    Alcotest.(check int) (name ^ ": the rng is undrawn")
+      (Rng.bits53 (Rng.create ~seed:5))
+      (Rng.bits53 rng)
+  in
+  refused "empty workload" "Trace.generate: no call classes" (fun rng ->
+      Trace.generate_classes ~rng ~duration:20. ~bandwidths:[||]
+        ~mean_holdings:[||] [||]);
+  refused "size mismatch" "Trace.generate: class matrices differ in size"
+    (fun rng ->
+      two_class ~rng ~duration:20. narrow (Matrix.uniform ~nodes:4 ~demand:1.))
 
 (* multi-rate traces go through the single-rate trace's validation *)
 let test_trace_validation () =
