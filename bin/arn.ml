@@ -1245,7 +1245,9 @@ let serve_cmd =
        is $(b,TIME FAIL|REPAIR LINK) (virtual time; $(b,#) comments).  \
        Events fire as the virtual clock passes their timestamp, before \
        the triggering SETUP is decided, so a run with a script is as \
-       reproducible as one driven by FAIL/REPAIR on the wire."
+       reproducible as one driven by FAIL/REPAIR on the wire.  Link ids \
+       never move, so $(b,LINK ADD) and $(b,LINK DEL) work alongside a \
+       script; an event on a link that $(b,LINK DEL) removed is skipped."
     in
     Arg.(
       value
