@@ -1200,15 +1200,6 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "unprotected" ] ~doc)
   in
-  let seed =
-    let doc =
-      "Run seed, echoed in the banner.  The daemon itself draws no \
-       randomness — decisions depend only on the command stream — so \
-       matching seeds between $(b,arn serve) and $(b,arn load) labels \
-       the pair of logs as one reproducible run."
-    in
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc)
-  in
   let reload_every =
     let doc =
       "Recompute the Theorem-1 protection levels automatically after \
@@ -1308,9 +1299,9 @@ let serve_cmd =
     let doc = "Log JSONL (one JSON object per line) instead of text." in
     Arg.(value & flag & info [ "log-json" ] ~doc)
   in
-  let run network capacity listen h scale demand unprotected seed
-      reload_every snapshot trace_file failure_script metrics_file window
-      smoothing telemetry slow_ms log_level log_json =
+  let run network capacity listen h scale demand unprotected reload_every
+      snapshot trace_file failure_script metrics_file window smoothing
+      telemetry slow_ms log_level log_json =
     let logger =
       Obs.Logger.create ~level:log_level
         ~format:(if log_json then Obs.Logger.Jsonl else Obs.Logger.Text)
@@ -1366,7 +1357,6 @@ let serve_cmd =
             ("nodes", Obs.Jsonu.Int (Graph.node_count g));
             ("links", Obs.Jsonu.Int (Graph.link_count g));
             ("h", Obs.Jsonu.Int (Route_table.h (Service.State.routes state)));
-            ("seed", Obs.Jsonu.Int seed);
             ("addr", Obs.Jsonu.String (Service.Server.addr_to_string addr)) ]
     in
     (try
@@ -1409,7 +1399,7 @@ let serve_cmd =
           exits cleanly; --telemetry serves live /metrics)")
     Term.(
       const run $ network_arg $ capacity_arg $ listen $ h $ scale $ demand
-      $ unprotected $ seed $ reload_every $ snapshot $ trace_file
+      $ unprotected $ reload_every $ snapshot $ trace_file
       $ failure_script $ metrics_file $ window $ smoothing $ telemetry
       $ slow_ms $ log_level $ log_json)
 
@@ -1475,8 +1465,9 @@ let load_cmd =
   in
   let batch =
     let doc =
-      "Commands pipelined per binary frame (needs $(b,--binary)): one \
-       write/read syscall round per batch of $(docv)."
+      "Most commands pipelined per binary frame (needs \
+       $(b,--binary)).  A frame ships early when one of its calls \
+       departs, so every $(docv) sends the same commands."
     in
     Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc)
   in

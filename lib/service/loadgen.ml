@@ -2,6 +2,8 @@ open Arnet_traffic
 open Arnet_sim
 module J = Arnet_obs.Jsonu
 
+type counts = { accepted : int; blocked : int; errors : int; teardowns : int }
+
 type result = {
   calls : int;
   accepted : int;
@@ -33,14 +35,6 @@ let generate_calls ~seed ~calls matrix =
     else attempt (2. *. duration)
   in
   attempt ((float_of_int calls /. total *. 1.2) +. 1.)
-
-type per_conn = {
-  mutable c_accepted : int;
-  mutable c_blocked : int;
-  mutable c_errors : int;
-  mutable c_teardowns : int;
-  histogram : Arnet_obs.Metrics.histogram;
-}
 
 (* requests written but not yet answered, summed over every connection;
    [peak] is the high-water mark the result reports *)
@@ -75,26 +69,95 @@ let read_reply_frame ic =
   | Error e ->
     failwith ("Loadgen: bad reply frame: " ^ Bwire.error_to_string e)
 
-(* The event walk over the [calls] (indices into [trace]) in engine
-   order: departures at or before an arrival instant release their
-   circuits first.  Commands accumulate into a batch of up to [batch]
-   and ship in one round: one line each in line mode, where the batch is
-   one, or one Bwire frame each way after [HELLO binary].  A departure
-   is only scheduled once its SETUP's verdict is read, so a teardown
-   never rides in the same batch as (or an earlier one than) its own
-   setup; each request's recorded latency is its batch's round-trip
-   time *)
-let drive ~binary ~timestamps ~retry_for ~batch ~inflight ~addr
-    (trace : Trace.t) calls =
-  let registry = Arnet_obs.Metrics.create () in
-  let acc =
-    { c_accepted = 0;
-      c_blocked = 0;
-      c_errors = 0;
-      c_teardowns = 0;
-      histogram =
-        Arnet_obs.Metrics.histogram registry ~buckets:latency_bounds
-          "arn_load_request_latency_seconds" }
+(* The engine's event order over [calls]: before each SETUP, a pointer
+   over [Trace.order] passes every call that arrived earlier and ends by
+   the arrival instant, as [Engine.run] does, and tears it down if the
+   daemon admitted it.  [ids.(i)] is the daemon's id for an admitted
+   call [i], -1 while SETUP [i] waits in the batch and 0 otherwise, so
+   a departing call whose SETUP is still pending ships the batch first.
+   Every order entry is there from the start, so a flush cannot make due
+   an entry the pointer has passed *)
+let walk ?(timestamps = true) ~batch transport (trace : Trace.t) calls :
+    counts =
+  let { Trace.times; srcs; dsts; ends; order; _ } = trace in
+  let ids = Array.make (Array.length times) 0 in
+  let accepted = ref 0 and blocked = ref 0 and errors = ref 0 in
+  let teardowns = ref 0 in
+  (* pending batch, newest first: each command with its call for a
+     SETUP, [None] for a TEARDOWN *)
+  let pending = ref [] and pending_n = ref 0 in
+  let flush () =
+    if !pending_n > 0 then begin
+      let items = List.rev !pending in
+      pending := [];
+      pending_n := 0;
+      let replies = transport (List.map fst items) in
+      if List.compare_lengths items replies <> 0 then
+        failwith
+          (Printf.sprintf "Loadgen: %d commands answered by %d verdicts"
+             (List.length items) (List.length replies));
+      List.iter2
+        (fun (_, call) resp ->
+          match (call, resp) with
+          | Some i, Wire.Admitted { id; _ } ->
+            ids.(i) <- id;
+            incr accepted
+          | Some i, Wire.Blocked ->
+            ids.(i) <- 0;
+            incr blocked
+          | Some i, _ ->
+            ids.(i) <- 0;
+            incr errors
+          | None, Wire.Done -> ()
+          | None, _ -> incr errors)
+        items replies
+    end
+  in
+  let push cmd call =
+    pending := (cmd, call) :: !pending;
+    incr pending_n;
+    if !pending_n >= batch then flush ()
+  in
+  let release j =
+    if ids.(j) < 0 then flush ();
+    if ids.(j) > 0 then begin
+      incr teardowns;
+      push (Wire.Teardown { id = ids.(j) }) None
+    end
+  in
+  let next = ref 0 in
+  Array.iter
+    (fun i ->
+      while
+        !next < Array.length order
+        &&
+        let j = order.(!next) in
+        j < i && ends.(j) <= times.(i)
+      do
+        release order.(!next);
+        incr next
+      done;
+      ids.(i) <- -1;
+      let time = if timestamps then Some times.(i) else None in
+      push (Wire.Setup { src = srcs.(i); dst = dsts.(i); time }) (Some i))
+    calls;
+  for p = !next to Array.length order - 1 do
+    release order.(p)
+  done;
+  flush ();
+  { accepted = !accepted;
+    blocked = !blocked;
+    errors = !errors;
+    teardowns = !teardowns }
+
+(* one connection's walk over the socket: one line per command in line
+   mode, one Bwire frame each way after [HELLO binary].  Each request's
+   latency is its batch's round trip *)
+let drive ~binary ~timestamps ~retry_for ~batch ~inflight ~addr trace calls =
+  let histogram =
+    Arnet_obs.Metrics.histogram
+      (Arnet_obs.Metrics.create ())
+      ~buckets:latency_bounds "arn_load_request_latency_seconds"
   in
   let ic, oc = Server.connect ~retry_for addr in
   Fun.protect
@@ -119,80 +182,19 @@ let drive ~binary ~timestamps ~retry_for ~batch ~inflight ~addr
         end
         else List.map (Server.request ic oc)
       in
-      let departures = Event_queue.create () in
-      (* pending batch, newest first, with the metadata the verdict
-         needs: the originating call for a SETUP, nothing for a
-         TEARDOWN *)
-      let pending = ref [] in
-      let pending_n = ref 0 in
-      let flush_batch () =
-        if !pending_n > 0 then begin
-          let items = List.rev !pending in
-          let k = !pending_n in
-          pending := [];
-          pending_n := 0;
-          inflight_enter inflight k;
-          let t0 = Unix.gettimeofday () in
-          let replies = exchange (List.map fst items) in
-          let rtt = Unix.gettimeofday () -. t0 in
-          inflight_exit inflight k;
-          if List.length replies <> k then
-            failwith
-              (Printf.sprintf "Loadgen: %d commands answered by %d verdicts"
-                 k (List.length replies));
-          List.iter2
-            (fun (_, meta) resp ->
-              Arnet_obs.Metrics.observe acc.histogram rtt;
-              match (meta, resp) with
-              | Some i, Wire.Admitted { id; _ } ->
-                acc.c_accepted <- acc.c_accepted + 1;
-                Event_queue.push_at departures ~times:trace.Trace.ends i id
-              | Some _, Wire.Blocked -> acc.c_blocked <- acc.c_blocked + 1
-              | Some _, _ -> acc.c_errors <- acc.c_errors + 1
-              | None, Wire.Done -> acc.c_teardowns <- acc.c_teardowns + 1
-              | None, _ ->
-                acc.c_errors <- acc.c_errors + 1;
-                acc.c_teardowns <- acc.c_teardowns + 1)
-            items replies
-        end
+      let transport cmds =
+        let k = List.length cmds in
+        inflight_enter inflight k;
+        let t0 = Unix.gettimeofday () in
+        let replies = exchange cmds in
+        let rtt = Unix.gettimeofday () -. t0 in
+        inflight_exit inflight k;
+        for _ = 1 to k do
+          Arnet_obs.Metrics.observe histogram rtt
+        done;
+        replies
       in
-      let push_cmd cmd meta =
-        pending := (cmd, meta) :: !pending;
-        incr pending_n;
-        if !pending_n >= batch then flush_batch ()
-      in
-      (* departures due by [time]: a flush inside the loop may admit
-         setups whose departures are also due, so drain to fixpoint *)
-      let rec release time =
-        let due = ref [] in
-        Event_queue.pop_until departures ~time ~f:(fun _ id ->
-            due := id :: !due);
-        match List.rev !due with
-        | [] -> ()
-        | ids ->
-          List.iter (fun id -> push_cmd (Wire.Teardown { id }) None) ids;
-          release time
-      in
-      Array.iter
-        (fun i ->
-          release trace.Trace.times.(i);
-          let time = if timestamps then Some trace.Trace.times.(i) else None in
-          push_cmd
-            (Wire.Setup
-               { src = trace.Trace.srcs.(i); dst = trace.Trace.dsts.(i); time })
-            (Some i))
-        calls;
-      flush_batch ();
-      let rec drain () =
-        match Event_queue.pop departures with
-        | Some (_, id) ->
-          push_cmd (Wire.Teardown { id }) None;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      flush_batch ());
-  acc
+      (walk ~timestamps ~batch transport trace calls, histogram))
 
 let run ?(connections = 1) ?(timestamps = true) ?(retry_for = 5.)
     ?(binary = false) ?(batch = 1) ~seed ~calls ~matrix ~addr () =
@@ -244,33 +246,34 @@ let run ?(connections = 1) ?(timestamps = true) ?(retry_for = 5.)
            | None -> failwith "Loadgen.run: connection thread died silently")
   in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
-  let accepted = sum (fun r -> r.c_accepted)
-  and blocked = sum (fun r -> r.c_blocked)
-  and errors = sum (fun r -> r.c_errors)
-  and teardowns = sum (fun r -> r.c_teardowns) in
+  let counts = List.map fst results and histograms = List.map snd results in
+  let sum f = List.fold_left (fun a c -> a + f c) 0 counts in
+  let accepted = sum (fun c -> c.accepted)
+  and blocked = sum (fun c -> c.blocked)
+  and errors = sum (fun c -> c.errors)
+  and teardowns = sum (fun c -> c.teardowns) in
   (* bucket bounds are shared, so cumulative counts merge by addition *)
   let merged_buckets =
     List.fold_left
-      (fun acc r ->
-        let buckets = Arnet_obs.Metrics.histogram_buckets r.histogram in
+      (fun acc h ->
+        let buckets = Arnet_obs.Metrics.histogram_buckets h in
         match acc with
         | [] -> buckets
         | acc ->
           List.map2
             (fun (bound, n) (_, n') -> (bound, n + n'))
             acc buckets)
-      [] results
+      [] histograms
   in
   let latency_sum =
     List.fold_left
-      (fun a r -> a +. Arnet_obs.Metrics.histogram_sum r.histogram)
-      0. results
+      (fun a h -> a +. Arnet_obs.Metrics.histogram_sum h)
+      0. histograms
   in
   let latency_count =
     List.fold_left
-      (fun a r -> a + Arnet_obs.Metrics.histogram_count r.histogram)
-      0 results
+      (fun a h -> a + Arnet_obs.Metrics.histogram_count h)
+      0 histograms
   in
   { calls;
     accepted;

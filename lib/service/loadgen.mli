@@ -4,20 +4,42 @@
     ({!Arnet_sim.Trace.generate} from a master seed over a traffic
     matrix) and drives a daemon with it over the wire: one [SETUP] per
     arrival (carrying the virtual arrival instant), one [TEARDOWN] per
-    accepted call at its virtual departure instant, interleaved in
-    virtual-time order with departures first on ties — exactly the
-    engine's event order, so a FAIL-free daemon under this load makes
+    accepted call at its virtual departure instant, in the engine's
+    event order ({!walk}), so a FAIL-free daemon under this load makes
     the same decision sequence as {!Arnet_sim.Engine.run} on the same
     trace.  The generator is open-loop in virtual time but closed-loop
-    on the wire (it waits for each response), so admission order is
-    deterministic for a single connection: same seed, same daemon
-    seed, same accept/block counts, every run.
+    on the wire (it waits for each batch's responses), so for a single
+    connection the commands, and hence the accept/block counts, are
+    the same every run and for every batch size.
 
     [connections > 1] shards calls round-robin across that many
     sockets driven from one thread each — a throughput measurement
     mode; wire-order determinism is then up to the scheduler. *)
 
 open Arnet_traffic
+
+type counts = { accepted : int; blocked : int; errors : int; teardowns : int }
+(** What one {!walk} saw: SETUPs admitted and blocked, ERR responses
+    to either verb, and TEARDOWNs sent. *)
+
+val walk :
+  ?timestamps:bool ->
+  batch:int ->
+  (Wire.command list -> Wire.response list) ->
+  Arnet_sim.Trace.t ->
+  int array ->
+  counts
+(** [walk ~batch transport trace calls] sends a SETUP for each of
+    [calls] (ascending indices into [trace]) and a TEARDOWN for each
+    admitted one, in {!Arnet_sim.Engine.run}'s order: before each
+    arrival, the calls that arrived earlier and end by its instant
+    depart in [trace.order].  Commands reach [transport] in batches of
+    up to [batch], answered one response each, in order.  A batch ships
+    early when a call it sets up departs, so every batch size sends the
+    same commands in the same order.  [timestamps] (default true) puts
+    the arrival instant on each SETUP.
+    @raise Failure when [transport] answers a batch with another number
+    of responses. *)
 
 type result = {
   calls : int;  (** SETUPs sent *)
@@ -59,17 +81,14 @@ val run :
     protocol path.  [connections] defaults to 1; [retry_for] (default
     5 s) tolerates a daemon still binding its socket.
 
-    Each connection runs one event walk, whatever the transport:
-    commands accumulate into batches of [batch] (default 1), and each
-    batch is one write/read round.  In line mode a batch is one command
-    line and its response, and the connection ends with [QUIT].
-    [binary] (default false) upgrades the connection with
-    [HELLO binary] and ships each batch as one {!Bwire} frame each way;
-    closing the socket ends it.  A teardown is only scheduled once its
-    setup's verdict has been read, so it never precedes its own setup
-    on the wire, and each request's recorded latency is its batch's
-    round-trip time, observed once per request.  So line mode and
-    [~binary:true ~batch:1] send the same commands in the same order.
+    Each connection runs one {!walk}, whatever the transport.  In line
+    mode a batch is one command line and its response, and the
+    connection ends with [QUIT].  [binary] (default false) upgrades the
+    connection with [HELLO binary] and ships each batch of up to
+    [batch] (default 1) commands as one {!Bwire} frame each way;
+    closing the socket ends it.  Every batch size sends the commands
+    of line mode, in line mode's order.  Each request's recorded
+    latency is its batch's round-trip time, observed once per request.
     @raise Invalid_argument for [calls < 1], [connections < 1],
     [batch] outside [1 .. Bwire.max_batch], or [batch > 1] without
     [binary]; socket errors propagate as [Unix.Unix_error]. *)

@@ -1,11 +1,11 @@
 (** Binary-heap priority queue keyed by simulated time.
 
     The event core of the simulators that schedule as they go (call
-    set-up signalling, the cellular model, the load generator).  Pops
-    are in nondecreasing time order; ties pop in unspecified (but
-    deterministic) order.  {!Engine.run} needs no queue: every departure
-    of a trace is known up front, and it walks the trace's
-    [Trace.order].
+    set-up signalling, the cellular model) and of the benchmark's
+    open-loop client.  Pops are in nondecreasing time order; ties pop
+    in unspecified (but deterministic) order.  {!Engine.run} and the
+    load generator need no queue: every departure of a trace is known
+    up front, and they walk the trace's [Trace.order].
 
     Internally a slot-indexed heap: an unboxed [float array] of times
     and an [int array] of slot numbers in heap order, and a payload

@@ -352,32 +352,18 @@ let test_session_errors () =
 (* ------------------------------------------------------------------ *)
 (* decisions: the daemon decides as the batch simulator, call for call *)
 
-(* replay a trace through the state in the engine's event order:
-   departures due at or before each arrival go first *)
+(* replay a trace through the state in the engine's event order, one
+   command at a time: every teardown answers OK but a dropped call's *)
 let replay st (trace : Trace.t) =
-  let departures = Event_queue.create () in
-  let accepted = ref 0 and blocked = ref 0 in
-  Array.iteri
-    (fun i time ->
-      Event_queue.pop_until departures ~time
-        ~f:(fun _ id ->
-          match State.teardown st ~id with
-          | Wire.Done -> ()
-          (* a call a FAIL dropped is no longer active *)
-          | Wire.Err { code = "unknown-call"; _ }
-            when (State.stats st).Wire.dropped > 0 -> ()
-          | r -> Alcotest.failf "teardown: %s" (Wire.print_response r));
-      match
-        State.setup st ~src:trace.Trace.srcs.(i) ~dst:trace.Trace.dsts.(i)
-          ~time:(Some time)
-      with
-      | Wire.Admitted { id; _ } ->
-        incr accepted;
-        Event_queue.push_at departures ~times:trace.Trace.ends i id
-      | Wire.Blocked -> incr blocked
-      | r -> Alcotest.failf "setup: %s" (Wire.print_response r))
-    trace.Trace.times;
-  (!accepted, !blocked)
+  let c =
+    Loadgen.walk ~batch:1
+      (List.map (Session.handle st))
+      trace
+      (Array.init (Trace.call_count trace) Fun.id)
+  in
+  Alcotest.(check int) "an ERR per dropped call" (State.stats st).Wire.dropped
+    c.Loadgen.errors;
+  (c.Loadgen.accepted, c.Loadgen.blocked)
 
 let test_matches_batch_simulator () =
   let g = quadrangle () in
@@ -1146,10 +1132,24 @@ let test_snapshot_roundtrip () =
     Trace.generate ~rng:(Rng.create ~seed:3) ~duration:30. matrix
   in
   ignore (replay st trace : int * int);
+  (* the replay releases every call it admits; these stay in flight, so
+     the FAIL drops some and the snapshot carries occupancy lines *)
+  for src = 0 to 3 do
+    for dst = 0 to 3 do
+      if src <> dst then
+        for _ = 1 to 3 do
+          ignore (State.setup st ~src ~dst ~time:None : Wire.response)
+        done
+    done
+  done;
   ignore (State.fail st ~link:2 : Wire.response);
+  Alcotest.(check bool) "the FAIL drops calls" true
+    ((State.stats st).Wire.dropped > 0);
   (* a removed link is written as a capacity-0 link and parses back *)
   ignore (State.link_del st ~src:0 ~dst:1 : Wire.response);
   let snap = State.snapshot st in
+  Alcotest.(check bool) "circuits held" true
+    (Array.exists (fun o -> o > 0) snap.Arnet_serial.Snapshot.occupancy);
   Alcotest.(check bool) "snapshot round-trips" true
     (Arnet_serial.Snapshot.roundtrip_ok snap);
   let back =
@@ -1282,7 +1282,6 @@ let drive_transcript addr (trace : Trace.t) =
       close_out_noerr oc;
       ignore (ic : in_channel))
     (fun () ->
-      let departures = Event_queue.create () in
       let log = Buffer.create 4096 in
       let request cmd =
         let r = Server.request ic oc cmd in
@@ -1290,29 +1289,10 @@ let drive_transcript addr (trace : Trace.t) =
         Buffer.add_char log '\n';
         r
       in
-      Array.iteri
-        (fun i time ->
-          Event_queue.pop_until departures ~time
-            ~f:(fun _ id -> ignore (request (Wire.Teardown { id })));
-          match
-            request
-              (Wire.Setup
-                 { src = trace.Trace.srcs.(i);
-                   dst = trace.Trace.dsts.(i);
-                   time = Some time })
-          with
-          | Wire.Admitted { id; _ } ->
-            Event_queue.push_at departures ~times:trace.Trace.ends i id
-          | _ -> ())
-        trace.Trace.times;
-      let rec flush () =
-        match Event_queue.pop departures with
-        | Some (_, id) ->
-          ignore (request (Wire.Teardown { id }));
-          flush ()
-        | None -> ()
-      in
-      flush ();
+      ignore
+        (Loadgen.walk ~batch:1 (List.map request) trace
+           (Array.init (Trace.call_count trace) Fun.id)
+          : Loadgen.counts);
       Buffer.contents log)
 
 let test_socket_failure_storm () =
@@ -2447,8 +2427,8 @@ let test_binary_batch_loadgen () =
     (result.Loadgen.in_flight_max <= 32);
   Alcotest.(check bool) "drained" true (State.drained st)
 
-(* line mode and binary frames of one command walk one trace: a fresh
-   daemon decides the same (command, response) sequence either way *)
+(* line mode and binary frames of any batch size walk one trace: a
+   fresh daemon decides the same (command, response) sequence each way *)
 let test_loadgen_transports_agree () =
   let matrix = Matrix.uniform ~nodes:4 ~demand:15. in
   let decisions ?binary ?batch seed =
@@ -2481,10 +2461,13 @@ let test_loadgen_transports_agree () =
       let line = decisions seed in
       Alcotest.(check bool) "the tap saw the walk" true
         (List.length line > 600);
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: line = binary batch 1" seed)
-        line
-        (decisions ~binary:true ~batch:1 seed))
+      List.iter
+        (fun batch ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "seed %d: line = binary batch %d" seed batch)
+            line
+            (decisions ~binary:true ~batch seed))
+        [ 1; 16; 64 ])
     [ 42; 7 ]
 
 let test_batch_metrics_scrape () =
